@@ -12,6 +12,7 @@ use alltoall_baselines::{
 };
 use alltoall_core::{Exchange, StaticSchedule};
 use cost_model::CommParams;
+use torus_serviced::json::Json;
 use torus_topology::TorusShape;
 
 /// A parsed invocation.
@@ -607,48 +608,10 @@ pub fn execute(cmd: Command) -> Result<String, String> {
             on_failure,
         } => {
             let shape = TorusShape::new(&shape).map_err(|e| e.to_string())?;
-            let mut config = torus_runtime::RuntimeConfig::default()
-                .with_block_bytes(params.block_bytes as usize)
-                .with_params(params);
-            if let Some(t) = threads {
-                config = config.with_workers(t);
-            }
-            if let Some(spec) = &faults {
-                let plan =
-                    torus_runtime::FaultPlan::parse(spec).map_err(|e| format!("--faults: {e}"))?;
-                config = config.with_faults(plan);
-            }
-            let mut retry = torus_runtime::RetryPolicy::default();
-            if let Some(r) = retries {
-                retry = retry.with_max_retries(r);
-            }
-            if let Some(ms) = deadline_ms {
-                retry = retry.with_deadline(std::time::Duration::from_millis(ms));
-            }
-            config = config.with_retry(retry).with_on_failure(on_failure);
+            let config = runtime_config(params, threads, faults.as_deref(), retries, deadline_ms)?
+                .with_on_failure(on_failure);
             let runtime = torus_runtime::Runtime::new(&shape, config).map_err(|e| e.to_string())?;
-            let emit = |out: &mut String,
-                        report: &torus_runtime::RuntimeReport|
-             -> Result<(), String> {
-                if json {
-                    out.push_str(&serde_json::to_string_pretty(report).map_err(|e| e.to_string())?);
-                } else {
-                    out.push_str(&report.summary());
-                }
-                out.push('\n');
-                Ok(())
-            };
-            match runtime.run() {
-                Ok(report) => emit(&mut out, &report)?,
-                // An injected unrecoverable fault is a legitimate outcome
-                // of `--faults`: show the partial report, not a bare
-                // error.
-                Err(torus_runtime::RuntimeError::Aborted { failure, report }) => {
-                    emit(&mut out, &report)?;
-                    let _ = writeln!(out, "run aborted: {failure}");
-                }
-                Err(e) => return Err(e.to_string()),
-            }
+            emit_run(&mut out, runtime.run(), json)?;
         }
         Command::RunCollective {
             op,
@@ -661,46 +624,10 @@ pub fn execute(cmd: Command) -> Result<String, String> {
             deadline_ms,
         } => {
             let shape = TorusShape::new(&shape).map_err(|e| e.to_string())?;
-            let mut config = torus_runtime::RuntimeConfig::default()
-                .with_block_bytes(params.block_bytes as usize)
-                .with_params(params);
-            if let Some(t) = threads {
-                config = config.with_workers(t);
-            }
-            if let Some(spec) = &faults {
-                let plan =
-                    torus_runtime::FaultPlan::parse(spec).map_err(|e| format!("--faults: {e}"))?;
-                config = config.with_faults(plan);
-            }
-            let mut retry = torus_runtime::RetryPolicy::default();
-            if let Some(r) = retries {
-                retry = retry.with_max_retries(r);
-            }
-            if let Some(ms) = deadline_ms {
-                retry = retry.with_deadline(std::time::Duration::from_millis(ms));
-            }
-            config = config.with_retry(retry);
+            let config = runtime_config(params, threads, faults.as_deref(), retries, deadline_ms)?;
             let runtime = torus_runtime::CollectiveRuntime::new(&shape, op, config)
                 .map_err(|e| e.to_string())?;
-            let emit = |out: &mut String,
-                        report: &torus_runtime::RuntimeReport|
-             -> Result<(), String> {
-                if json {
-                    out.push_str(&serde_json::to_string_pretty(report).map_err(|e| e.to_string())?);
-                } else {
-                    out.push_str(&report.summary());
-                }
-                out.push('\n');
-                Ok(())
-            };
-            match runtime.run() {
-                Ok((report, _deliveries)) => emit(&mut out, &report)?,
-                Err(torus_runtime::RuntimeError::Aborted { failure, report }) => {
-                    emit(&mut out, &report)?;
-                    let _ = writeln!(out, "run aborted: {failure}");
-                }
-                Err(e) => return Err(e.to_string()),
-            }
+            emit_run(&mut out, runtime.run().map(|(report, _)| report), json)?;
         }
         Command::Compare { shape, params } => {
             let shape = TorusShape::new(&shape).map_err(|e| e.to_string())?;
@@ -1073,6 +1000,132 @@ pub fn execute(cmd: Command) -> Result<String, String> {
     Ok(out)
 }
 
+/// The runtime configuration shared by `run-real` and `run-collective`.
+fn runtime_config(
+    params: CommParams,
+    threads: Option<usize>,
+    faults: Option<&str>,
+    retries: Option<u32>,
+    deadline_ms: Option<u64>,
+) -> Result<torus_runtime::RuntimeConfig, String> {
+    let mut config = torus_runtime::RuntimeConfig::default()
+        .with_block_bytes(params.block_bytes as usize)
+        .with_params(params);
+    if let Some(t) = threads {
+        config = config.with_workers(t);
+    }
+    if let Some(spec) = faults {
+        let plan = torus_runtime::FaultPlan::parse(spec).map_err(|e| format!("--faults: {e}"))?;
+        config = config.with_faults(plan);
+    }
+    let mut retry = torus_runtime::RetryPolicy::default();
+    if let Some(r) = retries {
+        retry = retry.with_max_retries(r);
+    }
+    if let Some(ms) = deadline_ms {
+        retry = retry.with_deadline(std::time::Duration::from_millis(ms));
+    }
+    Ok(config.with_retry(retry))
+}
+
+/// Prints a run's report: the human summary, or with `--json` one line
+/// of [`report_json`]. An injected unrecoverable fault is a legitimate
+/// outcome of `--faults`, so an aborted run prints its partial report
+/// (and the failure) rather than a bare error.
+fn emit_run(
+    out: &mut String,
+    run: Result<torus_runtime::RuntimeReport, torus_runtime::RuntimeError>,
+    json: bool,
+) -> Result<(), String> {
+    let report = match run {
+        Ok(report) => report,
+        Err(torus_runtime::RuntimeError::Aborted { report, .. }) => *report,
+        Err(e) => return Err(e.to_string()),
+    };
+    if json {
+        let _ = writeln!(out, "{}", report_json(&report).dump());
+    } else {
+        let _ = writeln!(out, "{}", report.summary());
+        if let Some(failure) = &report.failure {
+            let _ = writeln!(out, "run aborted: {failure}");
+        }
+    }
+    Ok(())
+}
+
+/// A [`RuntimeReport`](torus_runtime::RuntimeReport) as JSON: the run's
+/// verdict, shape, counters, fault counters, and per-phase breakdown.
+/// Durations are microseconds.
+fn report_json(r: &torus_runtime::RuntimeReport) -> Json {
+    let us = |d: std::time::Duration| Json::num(d.as_secs_f64() * 1e6);
+    let dims = |d: &[u32]| Json::Arr(d.iter().map(|&x| Json::num(x)).collect());
+    let f = &r.faults;
+    let faults = [
+        ("injected_drops", f.injected_drops),
+        ("injected_corruptions", f.injected_corruptions),
+        ("injected_truncations", f.injected_truncations),
+        ("injected_duplicates", f.injected_duplicates),
+        ("injected_delays", f.injected_delays),
+        ("injected_stalls", f.injected_stalls),
+        ("injected_kills", f.injected_kills),
+        ("crc_failures", f.crc_failures),
+        ("decode_failures", f.decode_failures),
+        ("timeouts", f.timeouts),
+        ("retries", f.retries),
+        ("resends", f.resends),
+        ("stale_discarded", f.stale_discarded),
+        ("recovered", f.recovered),
+    ];
+    let phases = r.phases.iter().map(|p| {
+        Json::obj([
+            ("name", Json::str(p.name.as_str())),
+            ("steps", Json::u64(p.steps as u64)),
+            ("wall_us", us(p.wall)),
+            ("assembly_us", us(p.assembly)),
+            ("transport_us", us(p.transport)),
+            ("rearrange_us", us(p.rearrange)),
+            ("wire_bytes", Json::u64(p.wire_bytes)),
+            ("rearranged_bytes", Json::u64(p.rearranged_bytes)),
+            ("bytes_copied", Json::u64(p.bytes_copied)),
+            ("allocations", Json::u64(p.allocations)),
+            ("messages", Json::u64(p.messages)),
+        ])
+    });
+    Json::obj([
+        ("verified", Json::Bool(r.verified)),
+        ("nodes", Json::num(r.nodes)),
+        ("dims", dims(&r.dims)),
+        ("executed_dims", dims(&r.executed_dims)),
+        ("padded", Json::Bool(r.padded)),
+        ("block_bytes", Json::u64(r.block_bytes as u64)),
+        ("workers", Json::u64(r.workers as u64)),
+        ("wall_us", us(r.wall)),
+        ("wire_bytes", Json::u64(r.wire_bytes)),
+        ("bytes_copied", Json::u64(r.bytes_copied)),
+        ("rearranged_bytes", Json::u64(r.rearranged_bytes)),
+        ("allocations", Json::u64(r.allocations)),
+        ("peak_node_bytes", Json::u64(r.peak_node_bytes)),
+        ("messages", Json::u64(r.messages)),
+        (
+            "faults",
+            Json::Obj(
+                faults
+                    .iter()
+                    .map(|&(k, v)| (k.to_string(), Json::u64(v)))
+                    .collect(),
+            ),
+        ),
+        (
+            "failure",
+            r.failure
+                .as_ref()
+                .map_or(Json::Null, |fi| Json::str(fi.to_string())),
+        ),
+        ("degraded", Json::Bool(r.degraded.is_some())),
+        ("phases", Json::Arr(phases.collect())),
+    ])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1189,14 +1242,39 @@ mod tests {
         let out =
             execute(parse_args(&argv("run-real --shape 4x4 --threads 2 -m 16 --json")).unwrap())
                 .unwrap();
-        if serde_json_is_stubbed() {
-            assert!(out.trim().starts_with('{'), "{out}");
-            return;
-        }
-        assert!(out.contains("\"verified\": true"), "{out}");
-        // Round-trips as JSON.
-        let v: serde_json::Value = serde_json::from_str(&out).unwrap();
-        assert_eq!(v["nodes"], 16);
+        let v = torus_serviced::json::parse(out.trim()).unwrap();
+        assert_eq!(
+            v.get("verified").and_then(Json::as_bool),
+            Some(true),
+            "{out}"
+        );
+        assert_eq!(v.get("nodes").and_then(Json::as_u64), Some(16), "{out}");
+        assert_eq!(
+            v.get("phases").and_then(Json::as_arr).map(<[_]>::len),
+            Some(4)
+        );
+    }
+
+    #[test]
+    fn execute_run_collective_json() {
+        let out = execute(
+            parse_args(&argv(
+                "run-collective --op allreduce --shape 4x4 --threads 2 -m 16 --json",
+            ))
+            .unwrap(),
+        )
+        .unwrap();
+        let v = torus_serviced::json::parse(out.trim()).unwrap();
+        assert_eq!(
+            v.get("verified").and_then(Json::as_bool),
+            Some(true),
+            "{out}"
+        );
+        assert_eq!(v.get("nodes").and_then(Json::as_u64), Some(16), "{out}");
+        assert!(
+            v.get("wire_bytes").and_then(Json::as_u64).unwrap() > 0,
+            "{out}"
+        );
     }
 
     #[test]

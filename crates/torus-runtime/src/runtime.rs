@@ -9,10 +9,16 @@
 //! *owns* its nodes' buffers outright — no locks on the hot path — and
 //! every node has an unbounded lock-free channel as its inbox.
 //!
-//! Each communication step of the [`StepPlan`] executes as:
+//! This module holds the crate's only executor. It walks any schedule
+//! laid out as phases of barrier-ordered steps, and is generic over what
+//! a node holds between steps (the crate-private `Holdings` trait):
+//! the all-to-all block buffer here, and the collective key store in
+//! [`collective`](crate::collective). Each communication step executes
+//! as:
 //!
 //! 1. **assemble** — for every owned node scheduled to send, select the
-//!    step's blocks (the paper's per-phase selection rules) and frame
+//!    step's blocks (the paper's per-phase selection rules, a repaired
+//!    schedule's manifest, or a collective plan's key list) and frame
 //!    them into one combined wire message (sequence-numbered and
 //!    CRC32-protected). Fault-free, the frame is **scatter-gather**
 //!    ([`WireFrame::Gathered`]): only the headers are written (into a
@@ -22,19 +28,22 @@
 //!    (never blocks: channels are unbounded), then receive exactly the
 //!    messages the static schedule says each owned node is due (possibly
 //!    empty ones — the paper's idle senders), splitting them zero-copy
-//!    into the receiving buffer and returning the frame's buffers to the
-//!    receiving worker's pool;
+//!    and returning the frame's buffers to the receiving worker's pool.
+//!    The node then absorbs the blocks: the all-to-all buffer appends
+//!    them, a collective store inserts them by key or, for reductions,
+//!    folds them into the resident block (a **combining receive**);
 //! 3. **synchronize** — a two-phase [`Barrier`] rendezvous with the main
 //!    thread. The first crossing marks "all step traffic delivered" (the
 //!    main thread timestamps the step and snapshots buffers for
 //!    [`Observer`]s); the second releases everyone into the next step, so
 //!    messages from step `s + 1` can never interleave with step `s`.
 //!
-//! After every phase but the last, workers run the paper's **data
-//! rearrangement** as a real memory pass: each node's blocks are sorted
-//! into delivery order and their payloads compacted into one fresh
+//! After every all-to-all phase but the last, workers run the paper's
+//! **data rearrangement** as a real memory pass: each node's blocks are
+//! sorted into delivery order and their payloads compacted into one fresh
 //! contiguous arena (the measured analogue of the `ρ`-term the cost model
 //! charges per byte), again bracketed by the two-barrier rendezvous.
+//! Collective plans have no rearrangement.
 //!
 //! # Fault tolerance
 //!
@@ -179,18 +188,27 @@ impl RuntimeConfig {
         self.cancel = Some(token);
         self
     }
+
+    /// The worker count a run over `nodes` nodes uses on the spawn
+    /// (non-pooled) path. Pooled runs additionally clamp to the pool's
+    /// size.
+    pub(crate) fn effective_workers(&self, nodes: usize) -> usize {
+        self.workers
+            .unwrap_or_else(torus_sim::default_threads)
+            .clamp(1, nodes)
+    }
 }
 
 /// Locks a mutex, tolerating poisoning: an aborting run must still be
 /// able to collect partial state even if some worker panicked while
-/// holding a lock. Shared with the collective executor.
+/// holding a lock.
 pub(crate) fn lk<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// One flipped byte at a deterministic offset — the payload of
 /// [`FaultKind::CorruptByte`].
-pub(crate) fn corrupt_frame(frame: &Bytes, offset: usize) -> Bytes {
+fn corrupt_frame(frame: &Bytes, offset: usize) -> Bytes {
     let mut v = frame.to_vec();
     if !v.is_empty() {
         let at = offset % v.len();
@@ -200,7 +218,7 @@ pub(crate) fn corrupt_frame(frame: &Bytes, offset: usize) -> Bytes {
 }
 
 /// Keeps only the first half of the frame — [`FaultKind::Truncate`].
-pub(crate) fn truncate_frame(frame: &Bytes) -> Bytes {
+fn truncate_frame(frame: &Bytes) -> Bytes {
     frame.slice(..frame.len() / 2)
 }
 
@@ -216,13 +234,99 @@ pub struct Runtime {
     config: RuntimeConfig,
 }
 
+/// What one node holds between steps, as the executor drives it.
+///
+/// The worker loop is generic over this trait and monomorphised, so the
+/// per-block work of selection and absorption is statically dispatched.
+/// It has exactly two implementations: the all-to-all block buffer
+/// (`Vec<Block<Bytes>>`, below) and the collective key store
+/// (`Vec<Option<Bytes>>`, in [`collective`](crate::collective)).
+pub(crate) trait Holdings: Clone + Default + Send + 'static {
+    /// The run's immutable schedule, shared by every worker task.
+    type Plan: Send + Sync + 'static;
+
+    /// Step entry for `node` at global step `g`: discards whatever the
+    /// schedule drops from it, then moves (or copies) the blocks it sends
+    /// into `out` and returns their destination — `None` if it idles.
+    fn select(
+        &mut self,
+        plan: &Self::Plan,
+        g: usize,
+        node: NodeId,
+        out: &mut Vec<Block<Bytes>>,
+        checks: &mut ScheduleChecks,
+    ) -> Option<NodeId>;
+
+    /// Takes in (and drains) the blocks of one received frame.
+    fn absorb(&mut self, plan: &Self::Plan, incoming: &mut Vec<Block<Bytes>>);
+
+    /// The inter-phase rearrangement; returns `(bytes copied, blocks)`.
+    /// Called only after phases whose [`PhaseLayout`] asks for it, which
+    /// collective plans never do, so the default does nothing.
+    fn rearrange(&mut self) -> (u64, u64) {
+        (0, 0)
+    }
+
+    /// Payload bytes resident at this node.
+    fn resident_bytes(&self) -> u64;
+}
+
+/// Schedule self-checks the workers count; only the repaired all-to-all
+/// schedule ever moves them off zero.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct ScheduleChecks {
+    /// Blocks discarded executing the repaired schedule's drop lists.
+    dropped_found: u64,
+    /// Repaired sends whose drained block count did not match the
+    /// manifest (a planner/executor divergence — any nonzero total fails
+    /// verification after the join).
+    manifest_mismatches: u64,
+}
+
+/// One phase of a schedule's step grid.
+pub(crate) struct PhaseLayout {
+    pub(crate) name: String,
+    pub(crate) steps: usize,
+    /// Whether the inter-phase rearrangement follows the phase.
+    pub(crate) rearrange_after: bool,
+}
+
+/// A schedule's step grid as the executor walks it.
+pub(crate) struct Layout {
+    /// Phases in execution order.
+    pub(crate) phases: Vec<PhaseLayout>,
+    /// Nominal hop count of each global step (for the trace).
+    pub(crate) hops: Vec<u32>,
+    /// `expect_from[g][node]`: who `node` receives from in global step
+    /// `g` (every schedule has at most one sender per destination per
+    /// step).
+    pub(crate) expect_from: Vec<Vec<Option<NodeId>>>,
+}
+
+impl Layout {
+    fn total_steps(&self) -> usize {
+        self.hops.len()
+    }
+
+    /// Failure context for global step `g`: (phase label, 1-based step).
+    fn locate(&self, g: usize) -> (String, usize) {
+        let mut first = 0;
+        for ph in &self.phases {
+            if g < first + ph.steps {
+                return (ph.name.clone(), g - first + 1);
+            }
+            first += ph.steps;
+        }
+        (String::new(), 0)
+    }
+}
+
 /// Per-worker, per-global-step measurement.
 #[derive(Clone, Copy, Default)]
 struct StepSide {
     messages: u64,
     blocks: u64,
     max_blocks: u64,
-    wire_bytes: u64,
     retries: u64,
 }
 
@@ -247,59 +351,12 @@ struct WorkerStats {
     peak_bytes: u64,
     faults: RecoveryStats,
     events: Vec<FaultEvent>,
-    /// Degraded mode: blocks this worker discarded executing drop lists.
-    dropped_found: u64,
-    /// Degraded mode: repaired sends whose drained block count did not
-    /// match the manifest (a planner/executor divergence — any nonzero
-    /// total fails verification after the join).
-    manifest_mismatches: u64,
-}
-
-/// A step as the workers execute it: either a base-plan step (block
-/// selection by the paper's per-phase rules) or a repaired step (block
-/// selection by explicit per-node manifests).
-#[derive(Clone, Copy)]
-enum ExecStep<'a> {
-    Base(&'a PlannedStep),
-    Repaired(&'a RepairedStep),
-}
-
-impl ExecStep<'_> {
-    fn hops(&self) -> u32 {
-        match self {
-            ExecStep::Base(st) => st.hops,
-            ExecStep::Repaired(st) => st.hops,
-        }
-    }
-
-    /// Where `node` sends this step, `None` if it idles.
-    fn dst_of(&self, node: usize) -> Option<NodeId> {
-        match self {
-            ExecStep::Base(st) => st.sends[node].map(|s| s.dst),
-            ExecStep::Repaired(st) => st.sends[node].as_ref().map(|s| s.dst),
-        }
-    }
-}
-
-/// A phase view unifying the base plan and a repaired schedule, so one
-/// worker loop executes both.
-struct ExecPhase<'a> {
-    name: &'a str,
-    kind: PhaseKind,
-    rearrange_after: bool,
-    steps: Vec<ExecStep<'a>>,
-}
-
-/// Everything a degraded-mode execution needs beyond the base plan.
-struct DegradeCtx {
-    repaired: Arc<RepairedSchedule>,
-    dead_nodes: Vec<DeadNode>,
-    restarts: u32,
+    checks: ScheduleChecks,
 }
 
 /// How a run executes its worker tasks.
 #[derive(Clone, Copy)]
-enum ExecBackend<'p> {
+pub(crate) enum ExecBackend<'p> {
     /// Spawn fresh scoped threads and join them at run end — the classic
     /// one-shot measurement path.
     Spawn,
@@ -310,8 +367,52 @@ enum ExecBackend<'p> {
     Pool(&'p WorkerPool, Option<&'p PoolBank>),
 }
 
-fn snapshot_buffers(slots: &[Mutex<Vec<Block<Bytes>>>]) -> Buffers<Bytes> {
-    Buffers::from_vecs(slots.iter().map(|m| lk(m).clone()).collect())
+/// The driving thread's view of an observed run: called at every step
+/// barrier with `(phase index, Some(1-based step))` and after every
+/// rearrangement with `(phase index, None)`, plus the node snapshots.
+pub(crate) type SyncHook<'a, S> = dyn FnMut(usize, Option<usize>, &[Mutex<S>]) + 'a;
+
+/// One schedule, seeded and ready to execute.
+pub(crate) struct Execution<S: Holdings> {
+    pub(crate) plan: S::Plan,
+    pub(crate) layout: Layout,
+    /// Per-node holdings, indexed by canonical node id.
+    pub(crate) stores: Vec<S>,
+    /// Executing a repaired schedule: injected kills are absorbed (the
+    /// node is already quarantined) instead of aborting the run.
+    pub(crate) degrade_mode: bool,
+}
+
+/// What [`execute`] hands back to a front end.
+pub(crate) struct Executed<S> {
+    /// Every measured field filled in; the front end adds the shape
+    /// (`dims`, `executed_dims`, `padded`, `nodes`), the analytic
+    /// prediction, and the verification verdict.
+    pub(crate) report: RuntimeReport,
+    /// Final per-node holdings, indexed by canonical node id.
+    pub(crate) finals: Vec<S>,
+    pub(crate) checks: ScheduleChecks,
+}
+
+impl<S> Executed<S> {
+    /// An unrecoverable failure aborts cleanly: typed error + the
+    /// partial report measured up to the abort.
+    pub(crate) fn check_failure(self) -> Result<Self, RuntimeError> {
+        let Some(fi) = self.report.failure.clone() else {
+            return Ok(self);
+        };
+        Err(match fi.reason {
+            FailureReason::ChannelClosed => RuntimeError::ChannelClosed {
+                node: fi.node,
+                phase: fi.phase,
+                step: fi.step,
+            },
+            _ => RuntimeError::Aborted {
+                failure: fi,
+                report: Box::new(self.report),
+            },
+        })
+    }
 }
 
 /// The per-run state every worker task shares.
@@ -323,18 +424,13 @@ fn snapshot_buffers(slots: &[Mutex<Vec<Block<Bytes>>>]) -> Buffers<Bytes> {
 /// frames, and channels are born and die with the job, which is what
 /// isolates one job's abort or quarantine from every other job sharing
 /// the pool.
-struct RunShared {
-    plan: Arc<StepPlan>,
-    /// Present when executing a repaired (degraded-mode) schedule.
-    repaired: Option<Arc<RepairedSchedule>>,
+struct RunShared<S: Holdings> {
+    plan: S::Plan,
+    layout: Layout,
     faults: FaultPlan,
     retry: RetryPolicy,
     degrade_mode: bool,
     observe: bool,
-    /// `expect_from[g][node]`: who `node` receives from in global step `g`.
-    expect_from: Vec<Vec<Option<NodeId>>>,
-    /// Failure context: global step -> (phase label, 1-based step).
-    step_ctx: Vec<(String, usize)>,
     /// Per-node inbox senders (any worker may deliver to any node).
     senders: Vec<Sender<WireFrame>>,
     /// Per-destination retained resend frame for the current step.
@@ -344,17 +440,15 @@ struct RunShared {
     cancel: Option<CancelToken>,
     failure_slot: Mutex<Option<NodeFailure>>,
     barrier: Barrier,
-    snapshots: Vec<Mutex<Vec<Block<Bytes>>>>,
-    finals: Vec<Mutex<Vec<Block<Bytes>>>>,
-    total_steps: usize,
+    snapshots: Vec<Mutex<S>>,
 }
 
-impl RunShared {
+impl<S: Holdings> RunShared<S> {
     /// Records the first unrecoverable failure and raises the abort flag.
     fn fail(&self, node: NodeId, g: usize, reason: FailureReason) {
         let mut slot = lk(&self.failure_slot);
         if slot.is_none() {
-            let (phase, step) = self.step_ctx[g].clone();
+            let (phase, step) = self.layout.locate(g);
             *slot = Some(NodeFailure {
                 node,
                 phase,
@@ -385,6 +479,96 @@ impl RunShared {
         self.abort.load(Ordering::Acquire)
     }
 
+    /// Applies the message faults pinned to transmission `attempt` of
+    /// `src -> dst` in step `g` to the frames about to be delivered
+    /// (one, before any fault), counting and logging each injection.
+    #[allow(clippy::too_many_arguments)]
+    fn inject(
+        &self,
+        g: usize,
+        src: NodeId,
+        dst: NodeId,
+        attempt: u32,
+        frames: &mut Vec<Bytes>,
+        counters: &mut RecoveryStats,
+        events: &mut Vec<FaultEvent>,
+    ) {
+        for kind in self.faults.message_faults(g, src, dst, attempt) {
+            events.push(FaultEvent {
+                step: g,
+                src,
+                dst,
+                attempt,
+                kind: FaultEventKind::Message(kind),
+            });
+            match kind {
+                FaultKind::Drop => {
+                    counters.injected_drops += 1;
+                    frames.clear();
+                }
+                FaultKind::DelayMicros(us) => {
+                    counters.injected_delays += 1;
+                    std::thread::sleep(Duration::from_micros(us));
+                }
+                FaultKind::Duplicate => {
+                    counters.injected_duplicates += 1;
+                    if let Some(f) = frames.first().cloned() {
+                        frames.push(f);
+                    }
+                }
+                FaultKind::CorruptByte => {
+                    counters.injected_corruptions += 1;
+                    let off = self.faults.corrupt_offset(
+                        g,
+                        src,
+                        dst,
+                        frames.first().map_or(0, Bytes::len),
+                    );
+                    for f in frames.iter_mut() {
+                        *f = corrupt_frame(f, off);
+                    }
+                }
+                FaultKind::Truncate => {
+                    counters.injected_truncations += 1;
+                    for f in frames.iter_mut() {
+                        *f = truncate_frame(f);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The fault-free receive of a scheduled frame. A scheduled frame is
+    /// always sent, so a blocking receive cannot deadlock. With a cancel
+    /// token installed a peer may observe the trigger at step entry and
+    /// skip its sends, so the receive polls the abort state instead of
+    /// blocking forever on a frame that will never come.
+    fn recv_scheduled(&self, rx: &Receiver<WireFrame>, me: NodeId, g: usize) -> Option<WireFrame> {
+        if self.cancel.is_none() {
+            return match rx.recv() {
+                Ok(frame) => Some(frame),
+                Err(_) => {
+                    self.fail(me, g, FailureReason::ChannelClosed);
+                    None
+                }
+            };
+        }
+        loop {
+            match rx.recv_timeout(Duration::from_millis(20)) {
+                Ok(frame) => return Some(frame),
+                Err(RecvTimeoutError::Timeout) => {
+                    if self.observe_cancel(me, g) {
+                        return None;
+                    }
+                }
+                Err(RecvTimeoutError::Disconnected) => {
+                    self.fail(me, g, FailureReason::ChannelClosed);
+                    return None;
+                }
+            }
+        }
+    }
+
     /// The deadline + bounded-retry receive loop (fault plans only).
     ///
     /// Waits on the inbox with a deadline; on timeout, CRC/framing
@@ -392,7 +576,8 @@ impl RunShared {
     /// retained pristine frame (a modeled NACK + retransmission) with
     /// exponential backoff. Returns the step's blocks, or `None` if the
     /// run aborted (this receive's own budget exhausting is one way that
-    /// happens).
+    /// happens). Combining receives stay exactly-once under recovery:
+    /// only the frame carrying step `g`'s sequence is returned.
     #[allow(clippy::too_many_arguments)]
     fn recover_recv(
         &self,
@@ -405,7 +590,6 @@ impl RunShared {
         events: &mut Vec<FaultEvent>,
         step_retries: &mut u64,
     ) -> Option<Vec<Block<Bytes>>> {
-        let faults = &self.faults;
         let policy = self.retry;
         // `cycles` counts *failed* recovery cycles: it charges the retry
         // budget only when a recovery attempt itself came up empty or
@@ -442,58 +626,19 @@ impl RunShared {
                     counters.timeouts += 1;
                     needed_recovery = true;
                     via_resend = true;
+                    // The sender may not have retained this step's frame
+                    // yet (stalled peer); then retry after backoff.
                     let frame = lk(retained).clone();
-                    match frame {
-                        // The sender may not have retained this step's
-                        // frame yet (stalled peer); retry after backoff.
-                        None => None,
-                        Some(mut frame) => {
-                            fetches += 1;
-                            counters.resends += 1;
-                            // The retransmission itself can be faulted
-                            // (explicitly pinned attempts >= 1 — how the
-                            // tests provoke budget exhaustion).
-                            let mut dropped = false;
-                            for kind in faults.message_faults(g, src, me, fetches) {
-                                events.push(FaultEvent {
-                                    step: g,
-                                    src,
-                                    dst: me,
-                                    attempt: fetches,
-                                    kind: FaultEventKind::Message(kind),
-                                });
-                                match kind {
-                                    FaultKind::Drop => {
-                                        counters.injected_drops += 1;
-                                        dropped = true;
-                                    }
-                                    FaultKind::DelayMicros(us) => {
-                                        counters.injected_delays += 1;
-                                        std::thread::sleep(Duration::from_micros(us));
-                                    }
-                                    FaultKind::Duplicate => {
-                                        counters.injected_duplicates += 1;
-                                    }
-                                    FaultKind::CorruptByte => {
-                                        counters.injected_corruptions += 1;
-                                        frame = corrupt_frame(
-                                            &frame,
-                                            faults.corrupt_offset(g, src, me, frame.len()),
-                                        );
-                                    }
-                                    FaultKind::Truncate => {
-                                        counters.injected_truncations += 1;
-                                        frame = truncate_frame(&frame);
-                                    }
-                                }
-                            }
-                            if dropped {
-                                None
-                            } else {
-                                Some(frame)
-                            }
-                        }
-                    }
+                    frame.and_then(|frame| {
+                        fetches += 1;
+                        counters.resends += 1;
+                        // The retransmission itself can be faulted
+                        // (explicitly pinned attempts >= 1 — how the
+                        // tests provoke budget exhaustion).
+                        let mut frames = vec![frame];
+                        self.inject(g, src, me, fetches, &mut frames, counters, events);
+                        frames.into_iter().next()
+                    })
                 }
             };
             let Some(raw) = raw else {
@@ -568,84 +713,49 @@ impl RunShared {
     }
 }
 
-/// The unified phase view over the base plan or a repaired schedule.
-/// Rebuilt cheaply (vectors of references) wherever it is needed — each
-/// worker task and the driving thread build their own, so no lifetime
-/// ties a task to the driver's stack.
-fn build_exec_phases<'a>(
-    plan: &'a StepPlan,
-    repaired: Option<&'a RepairedSchedule>,
-) -> Vec<ExecPhase<'a>> {
-    match repaired {
-        None => plan
-            .phases()
-            .iter()
-            .map(|ph| ExecPhase {
-                name: &ph.name,
-                kind: ph.kind,
-                rearrange_after: ph.rearrange_after,
-                steps: ph.steps.iter().map(ExecStep::Base).collect(),
-            })
-            .collect(),
-        Some(rep) => rep
-            .phases
-            .iter()
-            .map(|ph| ExecPhase {
-                name: &ph.name,
-                kind: ph.kind,
-                rearrange_after: ph.rearrange_after,
-                steps: ph.steps.iter().map(ExecStep::Repaired).collect(),
-            })
-            .collect(),
-    }
-}
-
-/// One worker task: executes every step of the plan for its contiguous
-/// chunk of nodes (`base ..`), returning its measurements and its frame
-/// pool (warm, for recycling through a [`PoolBank`]).
+/// One worker task: executes every step of the schedule for its
+/// contiguous chunk of nodes (`base ..`), returning its measurements, its
+/// frame pool (warm, for recycling through a [`PoolBank`]) and its nodes'
+/// final holdings.
 ///
 /// Runs identically on a scoped thread ([`ExecBackend::Spawn`]) or a
 /// persistent pool thread ([`ExecBackend::Pool`]); everything it touches
 /// lives in [`RunShared`] or is moved in.
-fn worker_body(
-    shared: &RunShared,
+fn worker_body<S: Holdings>(
+    shared: &RunShared<S>,
     base: usize,
-    mut bufs: Vec<Vec<Block<Bytes>>>,
+    mut bufs: Vec<S>,
     rxs: Vec<Receiver<WireFrame>>,
     mut pool: FramePool,
-) -> (WorkerStats, FramePool) {
-    let plan = &*shared.plan;
-    let phases = build_exec_phases(plan, shared.repaired.as_deref());
+) -> (WorkerStats, FramePool, Vec<S>) {
+    let plan = &shared.plan;
+    let layout = &shared.layout;
     let faults = &shared.faults;
     let no_faults = faults.is_empty();
-    let degrade_mode = shared.degrade_mode;
     let observe = shared.observe;
-    let abort = &shared.abort;
     let senders = &shared.senders[..];
     let retained = &shared.retained[..];
-    let expect_from = &shared.expect_from;
     let barrier = &shared.barrier;
 
     let mut stats = WorkerStats {
-        phase: vec![PhaseSide::default(); phases.len()],
-        steps: vec![StepSide::default(); shared.total_steps],
+        phase: vec![PhaseSide::default(); layout.phases.len()],
+        steps: vec![StepSide::default(); layout.total_steps()],
         peak_bytes: 0,
         faults: RecoveryStats::default(),
         events: Vec::new(),
-        dropped_found: 0,
-        manifest_mismatches: 0,
+        checks: ScheduleChecks::default(),
     };
-    // Recycled send-side state: the frame-buffer pool and the per-step
-    // outgoing scratch vector. Both reach steady state after the first
+    // Recycled scratch: the frame-buffer pool and the per-step outgoing
+    // and incoming block vectors. They reach steady state after the first
     // step or two and stop allocating.
     let mut outgoing: Vec<Block<Bytes>> = Vec::new();
+    let mut incoming: Vec<Block<Bytes>> = Vec::new();
     // A killed worker turns into a zombie: it does no work but keeps
     // crossing barriers so nothing deadlocks.
     let mut dead = false;
     let mut g = 0usize;
-    for (pi, ph) in phases.iter().enumerate() {
-        for est in &ph.steps {
-            let est = *est;
+    for (pi, ph) in layout.phases.iter().enumerate() {
+        for _ in 0..ph.steps {
             if !no_faults && !dead {
                 for li in 0..bufs.len() {
                     let node = (base + li) as NodeId;
@@ -662,7 +772,7 @@ fn worker_body(
                     match wf {
                         WorkerFaultKind::Kill => {
                             stats.faults.injected_kills += 1;
-                            if !degrade_mode {
+                            if !shared.degrade_mode {
                                 shared.fail(node, g, FailureReason::WorkerKilled { node });
                                 dead = true;
                             }
@@ -696,69 +806,15 @@ fn worker_body(
                 let pstats = &mut stats.phase[pi];
                 let sstats = &mut stats.steps[g];
 
-                // Degraded mode: quarantine drops take effect at step
-                // entry, before any send — discard the listed blocks
-                // from owned holders.
-                if let ExecStep::Repaired(rst) = est {
-                    for (holder, pairs) in &rst.drops {
-                        let h = *holder as usize;
-                        if h < base || h >= base + bufs.len() {
-                            continue;
-                        }
-                        let buf = &mut bufs[h - base];
-                        let before = buf.len();
-                        buf.retain(|b| pairs.binary_search(&(b.src, b.dst)).is_err());
-                        stats.dropped_found += (before - buf.len()) as u64;
-                    }
-                }
-
                 // Assemble and send for every owned scheduled sender.
                 for (li, buf) in bufs.iter_mut().enumerate() {
                     let node = (base + li) as NodeId;
-                    let Some(dst) = est.dst_of(node as usize) else {
-                        continue;
-                    };
                     let t0 = Instant::now();
                     outgoing.clear();
-                    match est {
-                        ExecStep::Base(st) => buf.retain_mut(|b| {
-                            if plan.selects(st, node, b) {
-                                if let Some(p) = StepPlan::shift_decrement(st) {
-                                    b.shifts[p] -= 1;
-                                }
-                                outgoing.push(std::mem::replace(
-                                    b,
-                                    Block::with_payload(0, 0, Bytes::new()),
-                                ));
-                                false
-                            } else {
-                                true
-                            }
-                        }),
-                        ExecStep::Repaired(st) => {
-                            // Manifest-driven: the repaired plan lists
-                            // the exact (src, dst) pairs to fold in. No
-                            // shift bookkeeping — repaired selection
-                            // never reads it.
-                            let spec = st.sends[node as usize]
-                                .as_ref()
-                                .expect("dst_of returned Some");
-                            buf.retain_mut(|b| {
-                                if spec.pairs.binary_search(&(b.src, b.dst)).is_ok() {
-                                    outgoing.push(std::mem::replace(
-                                        b,
-                                        Block::with_payload(0, 0, Bytes::new()),
-                                    ));
-                                    false
-                                } else {
-                                    true
-                                }
-                            });
-                            if outgoing.len() != spec.pairs.len() {
-                                stats.manifest_mismatches += 1;
-                            }
-                        }
-                    }
+                    let Some(dst) = buf.select(plan, g, node, &mut outgoing, &mut stats.checks)
+                    else {
+                        continue;
+                    };
                     let msg = if no_faults {
                         // Zero-copy: headers into a pooled buffer,
                         // payloads shared by handle.
@@ -790,7 +846,6 @@ fn worker_body(
                     sstats.max_blocks = sstats.max_blocks.max(outgoing.len() as u64);
                     // Wire accounting is for the pristine frame; injected
                     // mutations don't change the schedule's cost.
-                    sstats.wire_bytes += msg.wire_len() as u64;
                     pstats.wire_bytes += msg.wire_len() as u64;
                     pstats.messages += 1;
                     if no_faults {
@@ -804,46 +859,15 @@ fn worker_body(
                         // the wire.
                         *lk(&retained[dst as usize]) = Some(msg.clone());
                         let mut deliver = vec![msg];
-                        for kind in faults.message_faults(g, node, dst, 0) {
-                            stats.events.push(FaultEvent {
-                                step: g,
-                                src: node,
-                                dst,
-                                attempt: 0,
-                                kind: FaultEventKind::Message(kind),
-                            });
-                            match kind {
-                                FaultKind::Drop => {
-                                    stats.faults.injected_drops += 1;
-                                    deliver.clear();
-                                }
-                                FaultKind::DelayMicros(us) => {
-                                    stats.faults.injected_delays += 1;
-                                    std::thread::sleep(Duration::from_micros(us));
-                                }
-                                FaultKind::Duplicate => {
-                                    stats.faults.injected_duplicates += 1;
-                                    if let Some(f) = deliver.first().cloned() {
-                                        deliver.push(f);
-                                    }
-                                }
-                                FaultKind::CorruptByte => {
-                                    stats.faults.injected_corruptions += 1;
-                                    let off = faults.corrupt_offset(
-                                        g,
-                                        node,
-                                        dst,
-                                        deliver.first().map_or(0, Bytes::len),
-                                    );
-                                    deliver =
-                                        deliver.iter().map(|f| corrupt_frame(f, off)).collect();
-                                }
-                                FaultKind::Truncate => {
-                                    stats.faults.injected_truncations += 1;
-                                    deliver = deliver.iter().map(truncate_frame).collect();
-                                }
-                            }
-                        }
+                        shared.inject(
+                            g,
+                            node,
+                            dst,
+                            0,
+                            &mut deliver,
+                            &mut stats.faults,
+                            &mut stats.events,
+                        );
                         for f in deliver {
                             if senders[dst as usize]
                                 .send(WireFrame::Contiguous(f))
@@ -858,85 +882,51 @@ fn worker_body(
                 }
 
                 // Receive exactly the scheduled traffic, split it
-                // zero-copy, and track residency.
+                // zero-copy, absorb it, and track residency.
                 for (li, buf) in bufs.iter_mut().enumerate() {
                     let me = (base + li) as NodeId;
-                    if let Some(src) = expect_from[g][base + li] {
+                    if let Some(src) = layout.expect_from[g][base + li] {
                         let t0 = Instant::now();
-                        if no_faults {
-                            // Fast path: a scheduled frame is always
-                            // sent, so a blocking receive cannot
-                            // deadlock. With a cancel token installed a
-                            // peer may observe the trigger at step entry
-                            // and skip its sends, so the receive must
-                            // poll the abort state instead of blocking
-                            // forever on a frame that will never come.
-                            let frame = if shared.cancel.is_none() {
-                                match rxs[li].recv() {
-                                    Ok(frame) => Some(frame),
-                                    Err(_) => {
-                                        shared.fail(me, g, FailureReason::ChannelClosed);
-                                        None
-                                    }
-                                }
-                            } else {
-                                loop {
-                                    match rxs[li].recv_timeout(Duration::from_millis(20)) {
-                                        Ok(frame) => break Some(frame),
-                                        Err(RecvTimeoutError::Timeout) => {
-                                            if shared.observe_cancel(me, g) {
-                                                break None;
-                                            }
-                                        }
-                                        Err(RecvTimeoutError::Disconnected) => {
-                                            shared.fail(me, g, FailureReason::ChannelClosed);
-                                            break None;
-                                        }
-                                    }
-                                }
-                            };
+                        incoming.clear();
+                        let (got, received) = if no_faults {
+                            let frame = shared.recv_scheduled(&rxs[li], me, g);
                             let received = Instant::now();
                             pstats.transport += received - t0;
-                            if let Some(frame) = frame {
-                                // Split the frame into the node buffer.
-                                // Self-produced frames never fail to
-                                // decode; without a fault plan there is
-                                // no retained copy to retry from, so a
-                                // wire error here is unrecoverable and
-                                // named exactly.
-                                let decoded = match frame {
-                                    WireFrame::Gathered {
-                                        framing,
-                                        mut payloads,
-                                    } => {
-                                        let r = decode_gathered(&framing, &mut payloads, buf);
-                                        if r.is_ok() {
-                                            // Keep the pools warm: the
-                                            // receiver recycles the
-                                            // sender's buffers.
-                                            pool.put_buf(framing);
-                                            pool.put_vec(payloads);
-                                        }
-                                        r.map(|_| ())
+                            // Self-produced frames never fail to decode;
+                            // without a fault plan there is no retained
+                            // copy to retry from, so a wire error here is
+                            // unrecoverable and named exactly.
+                            let decoded = frame.map(|frame| match frame {
+                                WireFrame::Gathered {
+                                    framing,
+                                    mut payloads,
+                                } => {
+                                    let r = decode_gathered(&framing, &mut payloads, &mut incoming);
+                                    if r.is_ok() {
+                                        // Keep the pools warm: the
+                                        // receiver recycles the sender's
+                                        // buffers.
+                                        pool.put_buf(framing);
+                                        pool.put_vec(payloads);
                                     }
-                                    WireFrame::Contiguous(raw) => decode_message(&raw)
-                                        .map(|(_, mut blocks)| buf.append(&mut blocks)),
-                                };
-                                match decoded {
-                                    Ok(()) => pstats.assembly += received.elapsed(),
-                                    Err(e) => {
-                                        match e {
-                                            WireError::Crc { .. } => stats.faults.crc_failures += 1,
-                                            _ => stats.faults.decode_failures += 1,
-                                        }
-                                        shared.fail(
-                                            me,
-                                            g,
-                                            FailureReason::Integrity { src, error: e },
-                                        );
-                                    }
+                                    r.map(|_| ())
                                 }
-                            }
+                                WireFrame::Contiguous(raw) => decode_message(&raw)
+                                    .map(|(_, mut blocks)| incoming.append(&mut blocks)),
+                            });
+                            let got = match decoded {
+                                Some(Ok(())) => true,
+                                Some(Err(e)) => {
+                                    match e {
+                                        WireError::Crc { .. } => stats.faults.crc_failures += 1,
+                                        _ => stats.faults.decode_failures += 1,
+                                    }
+                                    shared.fail(me, g, FailureReason::Integrity { src, error: e });
+                                    false
+                                }
+                                None => false,
+                            };
+                            (got, received)
                         } else {
                             let blocks = shared.recover_recv(
                                 &rxs[li],
@@ -950,13 +940,15 @@ fn worker_body(
                             );
                             let received = Instant::now();
                             pstats.transport += received - t0;
-                            if let Some(mut blocks) = blocks {
-                                buf.append(&mut blocks);
-                                pstats.assembly += received.elapsed();
-                            }
+                            let got = blocks.map(|mut b| incoming.append(&mut b)).is_some();
+                            (got, received)
+                        };
+                        if got {
+                            buf.absorb(plan, &mut incoming);
+                            pstats.assembly += received.elapsed();
                         }
                     }
-                    let mut resident: u64 = buf.iter().map(|b| b.payload.len() as u64).sum();
+                    let mut resident = buf.resident_bytes();
                     if !no_faults {
                         // The frame retained for this node's recovery is
                         // resident memory too (the fault-free path
@@ -980,34 +972,17 @@ fn worker_body(
         }
 
         if ph.rearrange_after {
-            if !(dead || abort.load(Ordering::Acquire)) {
+            if !(dead || shared.abort.load(Ordering::Acquire)) {
                 let pstats = &mut stats.phase[pi];
                 for buf in bufs.iter_mut() {
                     let t0 = Instant::now();
-                    // The paper's inter-phase rearrangement: compact the
-                    // node's data array into delivery order with one
-                    // contiguous copy pass.
-                    buf.sort_by_key(|b| (b.dst, b.src));
-                    let total: usize = buf.iter().map(|b| b.payload.len()).sum();
-                    // The arena is frozen and retained by the blocks, so
-                    // it can't be pooled; its copy volume is
-                    // `rearranged_bytes`, kept apart from the send
-                    // path's `bytes_copied`.
-                    pstats.allocations += 1;
-                    let mut arena = BytesMut::with_capacity(total);
-                    for b in buf.iter() {
-                        arena.extend_from_slice(&b.payload);
-                    }
-                    let arena = arena.freeze();
-                    let mut off = 0usize;
-                    for b in buf.iter_mut() {
-                        let len = b.payload.len();
-                        b.payload = arena.slice(off..off + len);
-                        off += len;
-                    }
+                    let (bytes, blocks) = buf.rearrange();
                     pstats.rearrange += t0.elapsed();
-                    pstats.rearranged_bytes += total as u64;
-                    pstats.rearr_blocks_max = pstats.rearr_blocks_max.max(buf.len() as u64);
+                    // One fresh arena per node: it is frozen and retained
+                    // by the blocks, so it can't be pooled.
+                    pstats.allocations += 1;
+                    pstats.rearranged_bytes += bytes;
+                    pstats.rearr_blocks_max = pstats.rearr_blocks_max.max(blocks);
                 }
                 if observe {
                     for (li, buf) in bufs.iter().enumerate() {
@@ -1019,46 +994,523 @@ fn worker_body(
             barrier.wait();
         }
     }
-    for (li, buf) in bufs.iter_mut().enumerate() {
-        *lk(&shared.finals[base + li]) = std::mem::take(buf);
-    }
-    (stats, pool)
+    (stats, pool, bufs)
 }
 
 /// The driving thread's half of the run: mirror every barrier the
 /// workers cross, timestamping steps and phases and feeding the observer.
 /// Crosses every barrier unconditionally, so it never hangs even when
 /// workers are skipping an aborted run.
-fn drive_barriers<O: Observer<Bytes>>(
-    phases: &[ExecPhase<'_>],
-    shared: &RunShared,
-    observer: &mut O,
+fn drive_barriers<S: Holdings>(
+    shared: &RunShared<S>,
+    mut hook: Option<&mut SyncHook<'_, S>>,
 ) -> (Vec<Duration>, Vec<Duration>, Duration) {
-    let observe = shared.observe;
+    let phases = &shared.layout.phases;
     let t_run = Instant::now();
     let mut phase_walls = Vec::with_capacity(phases.len());
-    let mut step_walls = Vec::with_capacity(shared.total_steps);
-    for ph in phases {
+    let mut step_walls = Vec::with_capacity(shared.layout.total_steps());
+    for (pi, ph) in phases.iter().enumerate() {
         let t_phase = Instant::now();
-        for si in 0..ph.steps.len() {
+        for si in 0..ph.steps {
             let t_step = Instant::now();
             shared.barrier.wait();
             step_walls.push(t_step.elapsed());
-            if observe {
-                observer.on_step(ph.kind, si + 1, &snapshot_buffers(&shared.snapshots));
+            if let Some(hook) = hook.as_deref_mut() {
+                hook(pi, Some(si + 1), &shared.snapshots);
             }
             shared.barrier.wait();
         }
         if ph.rearrange_after {
             shared.barrier.wait();
-            if observe {
-                observer.on_rearrange(ph.kind, &snapshot_buffers(&shared.snapshots));
+            if let Some(hook) = hook.as_deref_mut() {
+                hook(pi, None, &shared.snapshots);
             }
             shared.barrier.wait();
         }
         phase_walls.push(t_phase.elapsed());
     }
     (phase_walls, step_walls, t_run.elapsed())
+}
+
+/// Executes one schedule over worker threads — the crate's only
+/// executor, shared by [`Runtime`] and
+/// [`CollectiveRuntime`](crate::CollectiveRuntime).
+///
+/// Returns `Err` only for a worker panic; an injected or external abort
+/// comes back as a report with `failure` set (see
+/// [`Executed::check_failure`]). `hook`, when given, observes every
+/// barrier with node snapshots.
+pub(crate) fn execute<S: Holdings>(
+    exec: Execution<S>,
+    config: &RuntimeConfig,
+    backend: ExecBackend<'_>,
+    hook: Option<&mut SyncHook<'_, S>>,
+) -> Result<Executed<S>, RuntimeError> {
+    let Execution {
+        plan,
+        layout,
+        stores,
+        degrade_mode,
+    } = exec;
+    let nn = stores.len();
+    // A pooled run can use at most the pool's threads: a gang larger
+    // than the pool could never be scheduled.
+    let workers = match backend {
+        ExecBackend::Spawn => config.effective_workers(nn),
+        ExecBackend::Pool(pool, _) => config.effective_workers(nn).min(pool.size()),
+    };
+
+    // Per-node inboxes. Senders are shared (any worker may deliver to
+    // any node); each receiver is owned by the node's worker.
+    let mut senders = Vec::with_capacity(nn);
+    let mut receivers = Vec::with_capacity(nn);
+    for _ in 0..nn {
+        let (tx, rx) = unbounded::<WireFrame>();
+        senders.push(tx);
+        receivers.push(rx);
+    }
+    let chunk = nn.div_ceil(workers);
+    let n_chunks = nn.div_ceil(chunk);
+    let mut tasks: Vec<(usize, Vec<S>, Vec<Receiver<WireFrame>>)> = {
+        let mut si = stores.into_iter();
+        let mut ri = receivers.into_iter();
+        (0..n_chunks)
+            .map(|ci| {
+                let take = chunk.min(nn - ci * chunk);
+                (
+                    ci * chunk,
+                    si.by_ref().take(take).collect(),
+                    ri.by_ref().take(take).collect(),
+                )
+            })
+            .collect()
+    };
+
+    // The per-run shared context: owned/reference-counted so worker
+    // tasks are `'static` and can execute on persistent pool threads as
+    // well as scoped ones. Dropped at the end of the run, taking the
+    // abort flag, retained frames, failure record, and channels with it
+    // — one job's failure state cannot leak into the next job on a
+    // shared pool.
+    let shared = Arc::new(RunShared {
+        plan,
+        layout,
+        faults: config.faults.clone(),
+        retry: config.retry,
+        degrade_mode,
+        observe: hook.is_some(),
+        senders,
+        retained: (0..nn).map(|_| Mutex::new(None)).collect(),
+        abort: AtomicBool::new(false),
+        cancel: config.cancel.clone(),
+        failure_slot: Mutex::new(None),
+        barrier: Barrier::new(n_chunks + 1),
+        snapshots: (0..nn).map(|_| Mutex::new(S::default())).collect(),
+    });
+
+    // Execute: workers run the schedule, the driving thread mirrors the
+    // barrier sequence to measure walls and feed the observer.
+    let mut stats: Vec<WorkerStats> = Vec::with_capacity(n_chunks);
+    let mut finals: Vec<S> = Vec::with_capacity(nn);
+    let mut panic_msg: Option<String> = None;
+    let (phase_walls, step_walls, wall) = match backend {
+        ExecBackend::Spawn => {
+            let shared_ref = &shared;
+            let joined = cb_thread::scope(|s| {
+                let mut handles = Vec::with_capacity(n_chunks);
+                for (base, bufs, rxs) in tasks.drain(..) {
+                    let shared = Arc::clone(shared_ref);
+                    handles.push(
+                        s.spawn(move |_| worker_body(&shared, base, bufs, rxs, FramePool::new())),
+                    );
+                }
+                let walls = drive_barriers(shared_ref, hook);
+                let mut outs = Vec::with_capacity(handles.len());
+                let mut panicked: Option<String> = None;
+                for h in handles {
+                    match h.join() {
+                        Ok(out) => outs.push(out),
+                        Err(p) => {
+                            let msg = p
+                                .downcast_ref::<&str>()
+                                .map(|s| (*s).to_string())
+                                .or_else(|| p.downcast_ref::<String>().cloned())
+                                .unwrap_or_else(|| "opaque panic payload".to_string());
+                            panicked.get_or_insert(msg);
+                        }
+                    }
+                }
+                (outs, walls, panicked)
+            });
+            let (outs, walls, panicked) = match joined {
+                Ok(v) => v,
+                Err(_) => {
+                    return Err(RuntimeError::WorkerPanicked(
+                        "runtime scope panicked".to_string(),
+                    ))
+                }
+            };
+            for (ws, _pool, bufs) in outs {
+                stats.push(ws);
+                finals.extend(bufs);
+            }
+            panic_msg = panicked;
+            walls
+        }
+        ExecBackend::Pool(pool, bank) => {
+            // Atomically reserve all n_chunks threads (gang scheduling):
+            // the run's tasks share a barrier, so a partial schedule
+            // would deadlock.
+            let mut gang = pool.gang(n_chunks);
+            for (base, bufs, rxs) in tasks.drain(..) {
+                let shared = Arc::clone(&shared);
+                let fp = bank.map(PoolBank::take).unwrap_or_default();
+                gang.spawn(move || worker_body(&shared, base, bufs, rxs, fp));
+            }
+            let walls = drive_barriers(&shared, hook);
+            for result in gang.join() {
+                match result {
+                    Ok((ws, fp, bufs)) => {
+                        // Check the warm frame pool back in for the next
+                        // job on this bank.
+                        if let Some(bank) = bank {
+                            bank.put(fp);
+                        }
+                        stats.push(ws);
+                        finals.extend(bufs);
+                    }
+                    Err(msg) => {
+                        panic_msg.get_or_insert(msg);
+                    }
+                }
+            }
+            walls
+        }
+    };
+    if let Some(msg) = panic_msg {
+        return Err(RuntimeError::WorkerPanicked(msg));
+    }
+
+    // Aggregate worker measurements into the report and trace.
+    let layout = &shared.layout;
+    let mut trace = Trace::default();
+    let mut phase_reports = Vec::with_capacity(layout.phases.len());
+    let mut gbase = 0usize;
+    for (pi, ph) in layout.phases.iter().enumerate() {
+        trace.begin_phase(&ph.name);
+        for si in 0..ph.steps {
+            let g = gbase + si;
+            let mut messages = 0u64;
+            let mut blocks = 0u64;
+            let mut max_blocks = 0u64;
+            let mut retries = 0u64;
+            for w in &stats {
+                messages += w.steps[g].messages;
+                blocks += w.steps[g].blocks;
+                max_blocks = max_blocks.max(w.steps[g].max_blocks);
+                retries += w.steps[g].retries;
+            }
+            trace.record_step(StepStat {
+                messages: messages as u32,
+                total_blocks: blocks,
+                max_blocks,
+                max_hops: layout.hops[g],
+                retries,
+                time_us: step_walls[g].as_secs_f64() * 1e6,
+            });
+        }
+        gbase += ph.steps;
+
+        let mut pr = PhaseReport {
+            name: ph.name.clone(),
+            steps: ph.steps,
+            wall: phase_walls[pi],
+            ..Default::default()
+        };
+        let mut rearr_max = 0u64;
+        for w in &stats {
+            let side = &w.phase[pi];
+            pr.assembly += side.assembly;
+            pr.transport += side.transport;
+            pr.rearrange += side.rearrange;
+            pr.wire_bytes += side.wire_bytes;
+            pr.rearranged_bytes += side.rearranged_bytes;
+            pr.bytes_copied += side.bytes_copied;
+            pr.allocations += side.allocations;
+            pr.messages += side.messages;
+            rearr_max = rearr_max.max(side.rearr_blocks_max);
+        }
+        if ph.rearrange_after {
+            trace.record_rearrangement(rearr_max);
+        }
+        phase_reports.push(pr);
+    }
+
+    let mut faults = RecoveryStats::default();
+    let mut checks = ScheduleChecks::default();
+    for w in &stats {
+        faults.merge(&w.faults);
+        checks.dropped_found += w.checks.dropped_found;
+        checks.manifest_mismatches += w.checks.manifest_mismatches;
+    }
+    let report = RuntimeReport {
+        dims: Vec::new(),
+        executed_dims: Vec::new(),
+        padded: false,
+        nodes: 0,
+        block_bytes: config.block_bytes,
+        workers,
+        wall,
+        wire_bytes: phase_reports.iter().map(|p| p.wire_bytes).sum(),
+        rearranged_bytes: phase_reports.iter().map(|p| p.rearranged_bytes).sum(),
+        bytes_copied: phase_reports.iter().map(|p| p.bytes_copied).sum(),
+        allocations: phase_reports.iter().map(|p| p.allocations).sum(),
+        peak_node_bytes: stats.iter().map(|w| w.peak_bytes).max().unwrap_or(0),
+        messages: phase_reports.iter().map(|p| p.messages).sum(),
+        phases: phase_reports,
+        verified: false,
+        faults,
+        fault_events: merge_events(stats.into_iter().map(|w| w.events).collect()),
+        failure: lk(&shared.failure_slot).take(),
+        degraded: None,
+        analytic: CompletionTime::default(),
+        trace,
+    };
+    Ok(Executed {
+        report,
+        finals,
+        checks,
+    })
+}
+
+/// A step as the all-to-all workers execute it: either a base-plan step
+/// (block selection by the paper's per-phase rules) or a repaired step
+/// (block selection by explicit per-node manifests).
+#[derive(Clone, Copy)]
+enum ExecStep<'a> {
+    Base(&'a PlannedStep),
+    Repaired(&'a RepairedStep),
+}
+
+impl ExecStep<'_> {
+    fn hops(&self) -> u32 {
+        match self {
+            ExecStep::Base(st) => st.hops,
+            ExecStep::Repaired(st) => st.hops,
+        }
+    }
+
+    /// Where `node` sends this step, `None` if it idles.
+    fn dst_of(&self, node: usize) -> Option<NodeId> {
+        match self {
+            ExecStep::Base(st) => st.sends[node].map(|s| s.dst),
+            ExecStep::Repaired(st) => st.sends[node].as_ref().map(|s| s.dst),
+        }
+    }
+}
+
+/// A phase view unifying the base plan and a repaired schedule.
+struct ExecPhase<'a> {
+    name: &'a str,
+    kind: PhaseKind,
+    rearrange_after: bool,
+    steps: Vec<ExecStep<'a>>,
+}
+
+/// The all-to-all schedule a run executes: the base plan, or a repaired
+/// (degraded-mode) schedule over the same step grid plus drops,
+/// manifests, and an optional trailing fallback phase.
+pub(crate) struct AlltoallPlan {
+    plan: Arc<StepPlan>,
+    repaired: Option<Arc<RepairedSchedule>>,
+    /// Global step -> (phase, step) index into whichever schedule runs.
+    index: Vec<(usize, usize)>,
+}
+
+impl AlltoallPlan {
+    fn new(plan: Arc<StepPlan>, repaired: Option<Arc<RepairedSchedule>>) -> Self {
+        let mut this = Self {
+            plan,
+            repaired,
+            index: Vec::new(),
+        };
+        this.index = this
+            .phases()
+            .iter()
+            .enumerate()
+            .flat_map(|(pi, ph)| (0..ph.steps.len()).map(move |si| (pi, si)))
+            .collect();
+        this
+    }
+
+    /// The unified phase view (vectors of references, cheap to build).
+    fn phases(&self) -> Vec<ExecPhase<'_>> {
+        match &self.repaired {
+            None => self
+                .plan
+                .phases()
+                .iter()
+                .map(|ph| ExecPhase {
+                    name: &ph.name,
+                    kind: ph.kind,
+                    rearrange_after: ph.rearrange_after,
+                    steps: ph.steps.iter().map(ExecStep::Base).collect(),
+                })
+                .collect(),
+            Some(rep) => rep
+                .phases
+                .iter()
+                .map(|ph| ExecPhase {
+                    name: &ph.name,
+                    kind: ph.kind,
+                    rearrange_after: ph.rearrange_after,
+                    steps: ph.steps.iter().map(ExecStep::Repaired).collect(),
+                })
+                .collect(),
+        }
+    }
+
+    fn step(&self, g: usize) -> ExecStep<'_> {
+        let (pi, si) = self.index[g];
+        match &self.repaired {
+            None => ExecStep::Base(&self.plan.phases()[pi].steps[si]),
+            Some(rep) => ExecStep::Repaired(&rep.phases[pi].steps[si]),
+        }
+    }
+
+    /// The step grid for `nn` canonical nodes, plus each phase's kind
+    /// (for the observer).
+    fn layout(&self, nn: usize) -> (Layout, Vec<PhaseKind>) {
+        let phases = self.phases();
+        let steps = phases.iter().flat_map(|ph| &ph.steps);
+        let layout = Layout {
+            phases: phases
+                .iter()
+                .map(|ph| PhaseLayout {
+                    name: ph.name.to_string(),
+                    steps: ph.steps.len(),
+                    rearrange_after: ph.rearrange_after,
+                })
+                .collect(),
+            hops: steps.clone().map(ExecStep::hops).collect(),
+            expect_from: steps
+                .map(|st| {
+                    let mut from = vec![None; nn];
+                    for node in 0..nn {
+                        if let Some(dst) = st.dst_of(node) {
+                            from[dst as usize] = Some(node as NodeId);
+                        }
+                    }
+                    from
+                })
+                .collect(),
+        };
+        (layout, phases.iter().map(|ph| ph.kind).collect())
+    }
+}
+
+/// The all-to-all node buffer: blocks in arrival order, compacted into
+/// delivery order by each inter-phase rearrangement.
+impl Holdings for Vec<Block<Bytes>> {
+    type Plan = AlltoallPlan;
+
+    fn select(
+        &mut self,
+        plan: &AlltoallPlan,
+        g: usize,
+        node: NodeId,
+        out: &mut Vec<Block<Bytes>>,
+        checks: &mut ScheduleChecks,
+    ) -> Option<NodeId> {
+        match plan.step(g) {
+            ExecStep::Base(st) => {
+                let dst = st.sends[node as usize]?.dst;
+                let decrement = StepPlan::shift_decrement(st);
+                self.retain_mut(|b| {
+                    if !plan.plan.selects(st, node, b) {
+                        return true;
+                    }
+                    if let Some(p) = decrement {
+                        b.shifts[p] -= 1;
+                    }
+                    out.push(std::mem::replace(
+                        b,
+                        Block::with_payload(0, 0, Bytes::new()),
+                    ));
+                    false
+                });
+                Some(dst)
+            }
+            ExecStep::Repaired(st) => {
+                // Degraded mode: quarantine drops take effect at step
+                // entry, before any send.
+                if let Ok(i) = st.drops.binary_search_by_key(&node, |(holder, _)| *holder) {
+                    let pairs = &st.drops[i].1;
+                    let before = self.len();
+                    self.retain(|b| pairs.binary_search(&(b.src, b.dst)).is_err());
+                    checks.dropped_found += (before - self.len()) as u64;
+                }
+                // Manifest-driven: the repaired plan lists the exact
+                // (src, dst) pairs to fold in. No shift bookkeeping —
+                // repaired selection never reads it.
+                let spec = st.sends[node as usize].as_ref()?;
+                self.retain_mut(|b| {
+                    if spec.pairs.binary_search(&(b.src, b.dst)).is_err() {
+                        return true;
+                    }
+                    out.push(std::mem::replace(
+                        b,
+                        Block::with_payload(0, 0, Bytes::new()),
+                    ));
+                    false
+                });
+                if out.len() != spec.pairs.len() {
+                    checks.manifest_mismatches += 1;
+                }
+                Some(spec.dst)
+            }
+        }
+    }
+
+    fn absorb(&mut self, _plan: &AlltoallPlan, incoming: &mut Vec<Block<Bytes>>) {
+        self.append(incoming);
+    }
+
+    /// The paper's inter-phase rearrangement: compact the node's data
+    /// array into delivery order with one contiguous copy pass. Its copy
+    /// volume is `rearranged_bytes`, kept apart from the send path's
+    /// `bytes_copied`.
+    fn rearrange(&mut self) -> (u64, u64) {
+        self.sort_by_key(|b| (b.dst, b.src));
+        let total: usize = self.iter().map(|b| b.payload.len()).sum();
+        let mut arena = BytesMut::with_capacity(total);
+        for b in self.iter() {
+            arena.extend_from_slice(&b.payload);
+        }
+        let arena = arena.freeze();
+        let mut off = 0usize;
+        for b in self.iter_mut() {
+            let len = b.payload.len();
+            b.payload = arena.slice(off..off + len);
+            off += len;
+        }
+        (total as u64, self.len() as u64)
+    }
+
+    fn resident_bytes(&self) -> u64 {
+        self.iter().map(|b| b.payload.len() as u64).sum()
+    }
+}
+
+/// Everything a degraded-mode execution needs beyond the base plan.
+struct DegradeCtx {
+    repaired: Arc<RepairedSchedule>,
+    dead_nodes: Vec<DeadNode>,
+    restarts: u32,
+}
+
+fn snapshot_buffers(slots: &[Mutex<Vec<Block<Bytes>>>]) -> Buffers<Bytes> {
+    Buffers::from_vecs(slots.iter().map(|m| lk(m).clone()).collect())
 }
 
 impl Runtime {
@@ -1113,11 +1565,8 @@ impl Runtime {
     /// The worker count a run will use on the spawn (non-pooled) path.
     /// Pooled runs additionally clamp to the pool's size.
     pub fn effective_workers(&self) -> usize {
-        let nn = self.plan.shape().num_nodes() as usize;
         self.config
-            .workers
-            .unwrap_or_else(torus_sim::default_threads)
-            .clamp(1, nn)
+            .effective_workers(self.plan.shape().num_nodes() as usize)
     }
 
     /// Runs one exchange with deterministic per-pair pattern payloads of
@@ -1127,21 +1576,6 @@ impl Runtime {
         let m = self.config.block_bytes;
         self.run_policy(
             ExecBackend::Spawn,
-            &mut NullObserver,
-            |s, d| pattern_payload(s, d, m),
-            false,
-        )
-        .map(|(report, _)| report)
-    }
-
-    /// Like [`run`](Self::run), but executes on a persistent
-    /// [`WorkerPool`] instead of spawning threads: the run reserves a
-    /// gang of `min(effective_workers, pool.size())` pool threads, and
-    /// they return to the pool afterwards instead of being joined.
-    pub fn run_on(&self, pool: &WorkerPool) -> Result<RuntimeReport, RuntimeError> {
-        let m = self.config.block_bytes;
-        self.run_policy(
-            ExecBackend::Pool(pool, None),
             &mut NullObserver,
             |s, d| pattern_payload(s, d, m),
             false,
@@ -1340,20 +1774,6 @@ impl Runtime {
         let exchange = self.prepared.exchange();
         let canon = self.plan.shape();
         let nn = canon.num_nodes() as usize;
-        // A pooled run can use at most the pool's threads: a gang larger
-        // than the pool could never be scheduled.
-        let workers = match backend {
-            ExecBackend::Spawn => self.effective_workers(),
-            ExecBackend::Pool(pool, _) => self.effective_workers().min(pool.size()),
-        };
-        // Unified execution view: base-plan phases, or the repaired
-        // phases (same step grid plus drops, manifests, and an optional
-        // trailing fallback phase) when running degraded. This is the
-        // driving thread's copy; each worker task builds its own from
-        // the shared reference-counted plan.
-        let exec_phases = build_exec_phases(&self.plan, degrade.map(|ctx| &*ctx.repaired));
-        let phases = &exec_phases;
-        let total_steps: usize = phases.iter().map(|p| p.steps.len()).sum();
 
         // Seed data-carrying buffers from the cached counting state; keep
         // every pair's bytes for the post-run bit-exact comparison.
@@ -1388,280 +1808,54 @@ impl Runtime {
             observer.on_start(&Buffers::from_vecs(node_bufs.clone()));
         }
 
-        // Static receive expectations: in global step `g`, node `d`
-        // receives from `expect_from[g][d]` (the schedule has at most one
-        // sender per destination per step).
-        let mut expect_from: Vec<Vec<Option<NodeId>>> = vec![vec![None; nn]; total_steps];
-        // Failure context: global step -> (phase label, 1-based step).
-        let mut step_ctx: Vec<(String, usize)> = Vec::with_capacity(total_steps);
-        {
-            let mut g = 0;
-            for ph in phases {
-                for (si, st) in ph.steps.iter().enumerate() {
-                    for node in 0..nn {
-                        if let Some(dst) = st.dst_of(node) {
-                            expect_from[g][dst as usize] = Some(node as NodeId);
-                        }
-                    }
-                    step_ctx.push((ph.name.to_string(), si + 1));
-                    g += 1;
-                }
-            }
-        }
-
-        // Per-node inboxes. Senders are shared (any worker may deliver to
-        // any node); each receiver is owned by the node's worker.
-        let mut senders = Vec::with_capacity(nn);
-        let mut receivers = Vec::with_capacity(nn);
-        for _ in 0..nn {
-            let (tx, rx) = unbounded::<WireFrame>();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-
-        let chunk = nn.div_ceil(workers);
-        let n_chunks = nn.div_ceil(chunk);
-
-        let mut buf_chunks: Vec<Vec<Vec<Block<Bytes>>>> = Vec::with_capacity(n_chunks);
-        let mut rx_chunks: Vec<Vec<Receiver<WireFrame>>> = Vec::with_capacity(n_chunks);
-        {
-            let mut bi = node_bufs.into_iter();
-            let mut ri = receivers.into_iter();
-            for ci in 0..n_chunks {
-                let take = chunk.min(nn - ci * chunk);
-                buf_chunks.push(bi.by_ref().take(take).collect());
-                rx_chunks.push(ri.by_ref().take(take).collect());
-            }
-        }
-
-        // The per-run shared context: owned/reference-counted so worker
-        // tasks are `'static` and can execute on persistent pool threads
-        // as well as scoped ones. Dropped at the end of the run, taking
-        // the abort flag, retained frames, failure record, and channels
-        // with it — one job's failure state cannot leak into the next
-        // job on a shared pool.
-        let shared = Arc::new(RunShared {
-            plan: Arc::clone(&self.plan),
-            repaired: degrade.map(|ctx| Arc::clone(&ctx.repaired)),
-            faults: self.config.faults.clone(),
-            retry: self.config.retry,
-            degrade_mode: degrade.is_some(),
-            observe,
-            expect_from,
-            step_ctx,
-            senders,
-            retained: (0..nn).map(|_| Mutex::new(None)).collect(),
-            abort: AtomicBool::new(false),
-            cancel: self.config.cancel.clone(),
-            failure_slot: Mutex::new(None),
-            barrier: Barrier::new(n_chunks + 1),
-            snapshots: (0..nn).map(|_| Mutex::new(Vec::new())).collect(),
-            finals: (0..nn).map(|_| Mutex::new(Vec::new())).collect(),
-            total_steps,
-        });
-
-        // Execute: workers run the plan, the driving thread mirrors the
-        // barrier sequence to measure walls and feed the observer.
-        let mut tasks: Vec<(usize, Vec<Vec<Block<Bytes>>>, Vec<Receiver<WireFrame>>)> = buf_chunks
-            .drain(..)
-            .zip(rx_chunks.drain(..))
-            .enumerate()
-            .map(|(ci, (bufs, rxs))| (ci * chunk, bufs, rxs))
-            .collect();
-        let mut stats: Vec<WorkerStats> = Vec::with_capacity(n_chunks);
-        let mut panic_msg: Option<String> = None;
-        let (phase_walls, step_walls, wall) = match backend {
-            ExecBackend::Spawn => {
-                let shared_ref = &shared;
-                let joined = cb_thread::scope(|s| {
-                    let mut handles = Vec::with_capacity(n_chunks);
-                    for (base, bufs, rxs) in tasks.drain(..) {
-                        let shared = Arc::clone(shared_ref);
-                        handles.push(s.spawn(move |_| {
-                            worker_body(&shared, base, bufs, rxs, FramePool::new())
-                        }));
-                    }
-                    let walls = drive_barriers(phases, shared_ref, observer);
-                    let mut outs = Vec::with_capacity(handles.len());
-                    let mut panicked: Option<String> = None;
-                    for h in handles {
-                        match h.join() {
-                            Ok(out) => outs.push(out),
-                            Err(p) => {
-                                let msg = p
-                                    .downcast_ref::<&str>()
-                                    .map(|s| (*s).to_string())
-                                    .or_else(|| p.downcast_ref::<String>().cloned())
-                                    .unwrap_or_else(|| "opaque panic payload".to_string());
-                                panicked.get_or_insert(msg);
-                            }
-                        }
-                    }
-                    (outs, walls, panicked)
-                });
-                let (outs, walls, panicked) = match joined {
-                    Ok(v) => v,
-                    Err(_) => {
-                        return Err(RuntimeError::WorkerPanicked(
-                            "runtime scope panicked".to_string(),
-                        ))
-                    }
-                };
-                stats.extend(outs.into_iter().map(|(ws, _pool)| ws));
-                panic_msg = panicked;
-                walls
-            }
-            ExecBackend::Pool(pool, bank) => {
-                // Atomically reserve all n_chunks threads (gang
-                // scheduling): the run's tasks share a barrier, so a
-                // partial schedule would deadlock.
-                let mut gang = pool.gang(n_chunks);
-                for (base, bufs, rxs) in tasks.drain(..) {
-                    let shared = Arc::clone(&shared);
-                    let fp = bank.map(PoolBank::take).unwrap_or_default();
-                    gang.spawn(move || worker_body(&shared, base, bufs, rxs, fp));
-                }
-                let walls = drive_barriers(phases, &shared, observer);
-                for result in gang.join() {
-                    match result {
-                        Ok((ws, fp)) => {
-                            // Check the warm frame pool back in for the
-                            // next job on this bank.
-                            if let Some(bank) = bank {
-                                bank.put(fp);
-                            }
-                            stats.push(ws);
-                        }
-                        Err(msg) => {
-                            panic_msg.get_or_insert(msg);
-                        }
-                    }
-                }
-                walls
+        // The base-plan phases, or the repaired phases when running
+        // degraded, laid out as the executor's step grid.
+        let plan = AlltoallPlan::new(
+            Arc::clone(&self.plan),
+            degrade.map(|ctx| Arc::clone(&ctx.repaired)),
+        );
+        let (layout, kinds) = plan.layout(nn);
+        let mut hook = |pi: usize, step: Option<usize>, snaps: &[Mutex<Vec<Block<Bytes>>>]| {
+            let bufs = snapshot_buffers(snaps);
+            match step {
+                Some(si) => observer.on_step(kinds[pi], si, &bufs),
+                None => observer.on_rearrange(kinds[pi], &bufs),
             }
         };
-        if let Some(msg) = panic_msg {
-            return Err(RuntimeError::WorkerPanicked(msg));
-        }
-
-        // Aggregate worker measurements into the report and trace.
-        let mut trace = Trace::default();
-        let mut phase_reports = Vec::with_capacity(phases.len());
-        let mut gbase = 0usize;
-        for (pi, ph) in phases.iter().enumerate() {
-            trace.begin_phase(ph.name);
-            for (si, st) in ph.steps.iter().enumerate() {
-                let g = gbase + si;
-                let mut messages = 0u64;
-                let mut blocks = 0u64;
-                let mut max_blocks = 0u64;
-                let mut retries = 0u64;
-                for w in &stats {
-                    messages += w.steps[g].messages;
-                    blocks += w.steps[g].blocks;
-                    max_blocks = max_blocks.max(w.steps[g].max_blocks);
-                    retries += w.steps[g].retries;
-                }
-                trace.record_step(StepStat {
-                    messages: messages as u32,
-                    total_blocks: blocks,
-                    max_blocks,
-                    max_hops: st.hops(),
-                    retries,
-                    time_us: step_walls[g].as_secs_f64() * 1e6,
-                });
-            }
-            gbase += ph.steps.len();
-
-            let mut pr = PhaseReport {
-                name: ph.name.to_string(),
-                steps: ph.steps.len(),
-                wall: phase_walls[pi],
-                ..Default::default()
-            };
-            let mut rearr_max = 0u64;
-            for w in &stats {
-                let side = &w.phase[pi];
-                pr.assembly += side.assembly;
-                pr.transport += side.transport;
-                pr.rearrange += side.rearrange;
-                pr.wire_bytes += side.wire_bytes;
-                pr.rearranged_bytes += side.rearranged_bytes;
-                pr.bytes_copied += side.bytes_copied;
-                pr.allocations += side.allocations;
-                pr.messages += side.messages;
-                rearr_max = rearr_max.max(side.rearr_blocks_max);
-            }
-            if ph.rearrange_after {
-                trace.record_rearrangement(rearr_max);
-            }
-            phase_reports.push(pr);
-        }
-
-        let mut fault_totals = RecoveryStats::default();
-        for w in &stats {
-            fault_totals.merge(&w.faults);
-        }
-        let fault_events = merge_events(stats.iter().map(|w| w.events.clone()).collect());
-        let failure_taken = lk(&shared.failure_slot).take();
-
+        let mut run = execute(
+            Execution {
+                plan,
+                layout,
+                stores: node_bufs,
+                degrade_mode: degrade.is_some(),
+            },
+            &self.config,
+            backend,
+            observe.then_some(&mut hook as &mut SyncHook<'_, _>),
+        )?;
         let params = self
             .config
             .params
             .with_block_bytes(self.config.block_bytes as u32);
         let real_n = exchange.shape_ref().num_nodes();
-        let mut report = RuntimeReport {
-            dims: exchange.shape_ref().dims().to_vec(),
-            executed_dims: canon.dims().to_vec(),
-            padded: exchange.is_padded(),
-            nodes: real_n,
-            block_bytes: self.config.block_bytes,
-            workers,
-            wall,
-            wire_bytes: phase_reports.iter().map(|p| p.wire_bytes).sum(),
-            rearranged_bytes: phase_reports.iter().map(|p| p.rearranged_bytes).sum(),
-            bytes_copied: phase_reports.iter().map(|p| p.bytes_copied).sum(),
-            allocations: phase_reports.iter().map(|p| p.allocations).sum(),
-            peak_node_bytes: stats.iter().map(|w| w.peak_bytes).max().unwrap_or(0),
-            messages: phase_reports.iter().map(|p| p.messages).sum(),
-            phases: phase_reports,
-            verified: false,
-            faults: fault_totals,
-            fault_events,
-            failure: failure_taken.clone(),
-            degraded: None,
-            analytic: CompletionTime::from_counts(&cost_model::proposed_nd(canon.dims()), &params),
-            trace,
-        };
+        run.report.dims = exchange.shape_ref().dims().to_vec();
+        run.report.executed_dims = canon.dims().to_vec();
+        run.report.padded = exchange.is_padded();
+        run.report.nodes = real_n;
+        run.report.analytic =
+            CompletionTime::from_counts(&cost_model::proposed_nd(canon.dims()), &params);
+        let Executed {
+            mut report,
+            finals,
+            checks,
+        } = run.check_failure()?;
 
-        // An unrecoverable failure aborts cleanly: typed error + the
-        // partial report measured up to the abort.
-        if let Some(fi) = failure_taken {
-            return Err(match fi.reason {
-                FailureReason::ChannelClosed => RuntimeError::ChannelClosed {
-                    node: fi.node,
-                    phase: fi.phase,
-                    step: fi.step,
-                },
-                _ => RuntimeError::Aborted {
-                    failure: fi,
-                    report: Box::new(report),
-                },
-            });
-        }
-
-        // Reassemble final buffers and verify: right delivery set, and
-        // every payload bit-exactly as seeded. Degraded runs check the
-        // survivor invariant instead (dead nodes empty, every
-        // survivor→survivor block delivered) and cross-check the
-        // executed drops against the repaired plan.
-        let buffers = Buffers::from_vecs(
-            shared
-                .finals
-                .iter()
-                .map(|m| std::mem::take(&mut *lk(m)))
-                .collect(),
-        );
+        // Verify the final buffers: right delivery set, and every payload
+        // bit-exactly as seeded. Degraded runs check the survivor
+        // invariant instead (dead nodes empty, every survivor→survivor
+        // block delivered) and cross-check the executed drops against the
+        // repaired plan.
+        let buffers = Buffers::from_vecs(finals);
         match degrade {
             None => verify_delivery(&buffers, self.prepared.expected_delivery())
                 .map_err(|e| RuntimeError::Verification(e.to_string()))?,
@@ -1669,7 +1863,7 @@ impl Runtime {
                 let dead = ctx.repaired.dead_nodes();
                 verify_delivery_degraded(&buffers, self.prepared.expected_delivery(), &dead)
                     .map_err(|e| RuntimeError::Verification(e.to_string()))?;
-                let found: u64 = stats.iter().map(|w| w.dropped_found).sum();
+                let found = checks.dropped_found;
                 if found != ctx.repaired.dropped.len() as u64 {
                     return Err(RuntimeError::Verification(format!(
                         "degraded run discarded {found} blocks but the repaired schedule \
@@ -1677,7 +1871,7 @@ impl Runtime {
                         ctx.repaired.dropped.len()
                     )));
                 }
-                let mismatches: u64 = stats.iter().map(|w| w.manifest_mismatches).sum();
+                let mismatches = checks.manifest_mismatches;
                 if mismatches != 0 {
                     return Err(RuntimeError::Verification(format!(
                         "{mismatches} repaired sends drained a different block set than \

@@ -31,12 +31,10 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
-fn lk<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use crate::runtime::lk;
 
 type Task = Box<dyn FnOnce() + Send + 'static>;
 

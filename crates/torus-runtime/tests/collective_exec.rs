@@ -13,7 +13,7 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use torus_runtime::{
     pattern_payload, CancelToken, CollectiveOp, CollectiveRuntime, Dtype, FailureReason, FaultPlan,
-    ReduceOp, RetryPolicy, RuntimeConfig, RuntimeError, WorkerFaultKind,
+    RecoveryStats, ReduceOp, RetryPolicy, RuntimeConfig, RuntimeError, WorkerFaultKind,
 };
 use torus_topology::TorusShape;
 
@@ -202,6 +202,63 @@ fn allreduce_survives_seeded_faults_reduction_exact() {
             let got = u64::from_le_bytes(d[0].1[lane * 8..lane * 8 + 8].try_into().unwrap());
             assert_eq!(got, want, "lane {lane} sum corrupted by fault recovery");
         }
+    }
+}
+
+#[test]
+fn seeded_collective_fault_runs_are_deterministic_across_worker_counts() {
+    // What the seeded plan injects, and what the schedule puts on the
+    // wire, must not depend on the worker count or the run. Timeouts,
+    // resends, retries, and stale discards are left out: they follow
+    // wall-clock deadlines.
+    let op = CollectiveOp::Allreduce {
+        op: ReduceOp::Sum,
+        dtype: Dtype::U64,
+    };
+    let mut runs = Vec::new();
+    for workers in [1, 2, 4] {
+        for _ in 0..2 {
+            let cfg = RuntimeConfig::default()
+                .with_workers(workers)
+                .with_faults(
+                    FaultPlan::seeded(11)
+                        .with_drop_rate(0.2)
+                        .with_duplicate_rate(0.2)
+                        .with_corrupt_rate(0.1),
+                )
+                .with_retry(quick_retry());
+            let r = rt(&[4, 4], op, cfg);
+            let m = r.config().block_bytes;
+            let (report, deliveries) = r.run_with_payloads(|id| u64_payload(id, m)).unwrap();
+            assert!(report.verified);
+            runs.push((workers, report, deliveries));
+        }
+    }
+    let (_, first, first_deliveries) = &runs[0];
+    let f = &first.faults;
+    assert!(f.injected_drops > 0 && f.injected_duplicates > 0 && f.injected_corruptions > 0);
+    let injected = |s: &RecoveryStats| {
+        [
+            s.injected_drops,
+            s.injected_delays,
+            s.injected_duplicates,
+            s.injected_corruptions,
+            s.injected_truncations,
+            s.injected_kills,
+            s.injected_stalls,
+        ]
+    };
+    for (workers, report, deliveries) in &runs[1..] {
+        let r = &report.faults;
+        assert_eq!(
+            injected(r),
+            injected(f),
+            "injected counters, {workers} workers"
+        );
+        assert_eq!(report.fault_events, first.fault_events, "{workers} workers");
+        assert_eq!(report.wire_bytes, first.wire_bytes, "{workers} workers");
+        assert_eq!(report.messages, first.messages, "{workers} workers");
+        assert_eq!(deliveries, first_deliveries, "{workers} workers");
     }
 }
 

@@ -36,7 +36,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use serde::Serialize;
 use torus_topology::{detour_hops, next_alive, NodeId, Sign};
 
 use crate::block::{Block, Buffers};
@@ -45,7 +44,7 @@ use crate::steps::{PlannedStep, StepKind, StepPlan};
 
 /// A block removed from the exchange because its source or destination
 /// was quarantined.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct DroppedBlock {
     /// Originating node (canonical id).
     pub src: NodeId,

@@ -34,9 +34,7 @@ use torus_topology::TorusShape;
 const DROP_RATE: f64 = 0.01;
 const DROP_SEED: u64 = 1998; // ICPP '98
 
-/// The JSON headline for one configuration of one case — hand-rolled
-/// (the offline serde_json stub prints `{}`; these exports exist to be
-/// populated).
+/// The JSON headline for one configuration of one case.
 fn report_json(r: &RuntimeReport) -> Json {
     Json::obj([
         ("wall_ms", Json::num(r.wall.as_secs_f64() * 1e3)),

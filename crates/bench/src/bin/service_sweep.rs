@@ -27,8 +27,7 @@ use torus_topology::TorusShape;
 const JOBS: usize = 16;
 const BLOCK_BYTES: usize = 64;
 
-/// Latency percentiles in the JSON export — hand-rolled (the offline
-/// serde_json stub prints `{}`; these exports exist to be populated).
+/// Latency percentiles in the JSON export.
 fn latency_json(lat: &LatencyStats) -> Json {
     Json::obj([
         ("count", Json::u64(lat.count)),

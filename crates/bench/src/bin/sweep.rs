@@ -23,16 +23,6 @@ use cost_model::{CommParams, CompletionTime, CostCounts};
 use std::io::Write as _;
 use torus_topology::TorusShape;
 
-/// One measured run's per-step trace, labeled for the JSON artifact.
-#[derive(serde::Serialize)]
-// The fields exist for the JSON export; the offline serde stub's derive
-// elides the reads a real `Serialize` expansion performs.
-#[allow(dead_code)]
-struct TraceDump {
-    torus: String,
-    trace: torus_sim::Trace,
-}
-
 /// Writes one CSV artifact under `results/` (plot-ready).
 fn write_csv(name: &str, header: &str, rows: &[String]) {
     let dir = std::path::Path::new("results");
@@ -46,23 +36,6 @@ fn write_csv(name: &str, header: &str, rows: &[String]) {
             let _ = writeln!(f, "{r}");
         }
         println!("(wrote {})", path.display());
-    }
-}
-
-/// Writes one pretty-printed JSON artifact under `results/`.
-fn write_json<T: serde::Serialize>(name: &str, value: &T) {
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        return; // read-only checkout: skip export silently
-    }
-    let path = dir.join(name);
-    match serde_json::to_string_pretty(value) {
-        Ok(s) => {
-            if std::fs::write(&path, s).is_ok() {
-                println!("(wrote {})", path.display());
-            }
-        }
-        Err(e) => eprintln!("json export failed for {name}: {e}"),
     }
 }
 
@@ -90,15 +63,10 @@ fn main() {
         "[9] analytic",
     ]);
     let mut csv_rows: Vec<String> = Vec::new();
-    let mut traces: Vec<TraceDump> = Vec::new();
     for side in [4u32, 8, 12, 16] {
         let shape = TorusShape::new_2d(side, side).unwrap();
         let rep = measure_proposed(&shape);
         let prop = CompletionTime::from_counts(&rep.counts, &params).total();
-        traces.push(TraceDump {
-            torus: format!("{shape}"),
-            trace: rep.trace,
-        });
         let dir = DirectExchange.run(&shape, &params).unwrap();
         let ring = RingExchange.run(&shape, &params).unwrap();
         let rc = RowColumnExchange.run(&shape, &params).unwrap();
@@ -187,13 +155,8 @@ fn main() {
     let mut t = Table::new(&["torus", "nodes", "steps", "crit. blocks", "time (µs)"]);
     for dims in [[4u32, 4, 4], [8, 8, 8], [8, 8, 4], [12, 12, 12]] {
         let shape = TorusShape::new(&dims).unwrap();
-        let rep = measure_proposed(&shape);
-        let counts = rep.counts;
+        let counts = measure_proposed(&shape).counts;
         let time = CompletionTime::from_counts(&counts, &params).total();
-        traces.push(TraceDump {
-            torus: format!("{shape}"),
-            trace: rep.trace,
-        });
         t.row(&[
             format!("{shape}"),
             shape.num_nodes().to_string(),
@@ -204,7 +167,6 @@ fn main() {
     }
     t.print();
     println!();
-    write_json("sweep_traces.json", &traces);
     println!("expected shape: combining beats direct except at near-zero t_s;");
     println!("ring competitive only on tiny networks; [9] lowest startup term.");
 }

@@ -95,11 +95,6 @@ pub fn fnum(x: f64) -> String {
 /// per-run), and the same content to `BENCH_<name>.json` at the repo
 /// root — the committed headline snapshot the perf trajectory tracks.
 ///
-/// The value is a hand-rolled [`torus_serviced::json::Json`], not a
-/// serde tree: the offline build links a stub `serde_json` that prints
-/// `{}` for everything, and these exports exist precisely to be
-/// populated.
-///
 /// Returns the paths written (for the "(wrote …)" trailer lines).
 pub fn export_json(name: &str, value: &torus_serviced::json::Json) -> Vec<std::path::PathBuf> {
     let mut written = Vec::new();

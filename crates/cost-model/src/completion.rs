@@ -7,13 +7,11 @@
 //! wins (e.g. \[9\] wins startups, the proposed algorithm wins
 //! rearrangement).
 
-use serde::{Deserialize, Serialize};
-
 use crate::counts::CostCounts;
 use crate::params::CommParams;
 
 /// Completion time broken into the paper's four components (all µs).
-#[derive(Clone, Copy, PartialEq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct CompletionTime {
     /// `startup_steps · t_s`
     pub startup: f64,

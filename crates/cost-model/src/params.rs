@@ -9,14 +9,12 @@
 //!
 //! All times are in microseconds.
 
-use serde::{Deserialize, Serialize};
-
 /// Switching technique of the network routers.
 ///
 /// The paper targets wormhole switching but notes the algorithms apply
 /// equally to virtual cut-through and packet switching; only the per-step
 /// timing differs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SwitchingMode {
     /// Wormhole switching: `T = t_s + m·t_c + h·t_l`.
     #[default]
@@ -36,7 +34,7 @@ pub enum SwitchingMode {
 }
 
 /// The performance parameters of Section 2.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct CommParams {
     /// Startup time per message, `t_s` (µs).
     pub t_s: f64,

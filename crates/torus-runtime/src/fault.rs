@@ -25,7 +25,7 @@ use torus_topology::NodeId;
 use crate::payload::splitmix64;
 
 /// What to do to one wire transmission.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
     /// The frame never arrives (receiver must time out and recover).
     Drop,
@@ -54,7 +54,7 @@ impl std::fmt::Display for FaultKind {
 }
 
 /// What to do to one worker at step entry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WorkerFaultKind {
     /// The worker hosting the node dies: it stops sending and receiving
     /// for the rest of the run (it still crosses barriers, modelling a
@@ -66,7 +66,7 @@ pub enum WorkerFaultKind {
 }
 
 /// One injected fault occurrence, recorded for the report.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultEvent {
     /// Global step of the transmission.
     pub step: usize,
@@ -81,7 +81,7 @@ pub struct FaultEvent {
 }
 
 /// Discriminates message from worker faults in the event log.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultEventKind {
     /// A wire-transmission fault.
     Message(FaultKind),

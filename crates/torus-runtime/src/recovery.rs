@@ -26,7 +26,7 @@ use torus_topology::NodeId;
 use crate::fault::FaultEvent;
 
 /// Bounded retry/backoff parameters for the per-step receive loop.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RetryPolicy {
     /// How long a scheduled receive waits on the inbox before declaring
     /// the transmission lost and starting recovery.
@@ -82,7 +82,7 @@ impl RetryPolicy {
 /// Fault, integrity, and recovery counters for one run (or one worker;
 /// they merge additively). All zero on a clean run — asserted by the
 /// zero-fault regression tests.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Injected frame drops.
     pub injected_drops: u64,
@@ -151,7 +151,7 @@ impl RecoveryStats {
 }
 
 /// Why a node could not continue.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FailureReason {
     /// The retry budget was exhausted waiting for a frame from `src`.
     RetryExhausted {
@@ -211,7 +211,7 @@ impl std::fmt::Display for FailureReason {
 /// The first unrecoverable failure of a run: which node, where in the
 /// schedule, and why. Carried by the partial report and by
 /// [`RuntimeError::Aborted`](crate::RuntimeError::Aborted).
-#[derive(Clone, Debug, PartialEq, serde::Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NodeFailure {
     /// The canonical node that failed (for kills: the faulted node).
     pub node: NodeId,

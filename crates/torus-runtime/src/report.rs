@@ -14,7 +14,6 @@
 use std::time::Duration;
 
 use cost_model::CompletionTime;
-use serde::Serialize;
 use torus_sim::Trace;
 
 use crate::degrade::DegradedReport;
@@ -22,7 +21,7 @@ use crate::fault::FaultEvent;
 use crate::recovery::{NodeFailure, RecoveryStats};
 
 /// Measured totals for one of the `n + 2` phases.
-#[derive(Clone, Debug, Default, Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct PhaseReport {
     /// Phase label (`"phase 1"`…), matching the trace and the paper.
     pub name: String,
@@ -57,7 +56,7 @@ pub struct PhaseReport {
 }
 
 /// Full measured report of one runtime execution.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct RuntimeReport {
     /// Original (user-facing) torus extents.
     pub dims: Vec<u32>,

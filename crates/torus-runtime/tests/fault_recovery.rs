@@ -406,8 +406,7 @@ fn degraded_reports_are_deterministic_across_runs_and_worker_counts() {
         });
         let d = r.degraded.expect("degraded report populated");
         assert!(d.verified_degraded);
-        // Debug formatting covers every field; the serde form is derived
-        // from the same data.
+        // Debug formatting covers every field.
         (format!("{d:?}"), deliveries)
     };
     let baseline = mk(4);

@@ -560,31 +560,18 @@ impl Engine {
         payload: PayloadSpec,
         config: RuntimeConfig,
     ) -> Result<JobHandle, SubmitError> {
-        self.submit_with_deadline(tenant, shape, payload, config, None)
+        self.submit_op_with_deadline(tenant, shape, JobOp::Alltoall, payload, config, None)
     }
 
-    /// [`submit_as`](Engine::submit_as) with an explicit wall-clock
-    /// deadline, measured from dispatch. The effective deadline is the
-    /// request (or the engine's `default_deadline`), clamped to
-    /// `max_deadline`; the watchdog reaps a run still going past it
-    /// (plus the configured grace), finishing the job as
-    /// [`JobStatus::DeadlineExceeded`] with a partial report.
-    pub fn submit_with_deadline(
-        &self,
-        tenant: &str,
-        shape: TorusShape,
-        payload: PayloadSpec,
-        config: RuntimeConfig,
-        deadline: Option<Duration>,
-    ) -> Result<JobHandle, SubmitError> {
-        self.submit_op_with_deadline(tenant, shape, JobOp::Alltoall, payload, config, deadline)
-    }
-
-    /// [`submit_with_deadline`](Engine::submit_with_deadline) for any
-    /// [`JobOp`]: all-to-all jobs behave exactly as before, collective
+    /// [`submit_as`](Engine::submit_as) for any [`JobOp`], with an
+    /// explicit wall-clock deadline measured from dispatch. Collective
     /// jobs lower their [`CollectiveOp`](torus_runtime::CollectiveOp)
     /// into a cached [`CollectivePlan`] and run on the same pool, with
-    /// the same deadline, cancellation, and fault machinery.
+    /// the same deadline, cancellation, and fault machinery. The
+    /// effective deadline is the request (or the engine's
+    /// `default_deadline`), clamped to `max_deadline`; the watchdog reaps
+    /// a run still going past it (plus the configured grace), finishing
+    /// the job as [`JobStatus::DeadlineExceeded`] with a partial report.
     pub fn submit_op_with_deadline(
         &self,
         tenant: &str,
@@ -645,34 +632,11 @@ impl Engine {
         self.enqueue_shard_locked(&mut shard, tenant, id, shape, op, payload, config, deadline)
     }
 
-    /// Re-enqueues a journal-recovered job under its original id,
-    /// bypassing the queue-depth, quota, and rate-limit checks — the job
-    /// was already admitted once, before the crash. Fails only while
-    /// shutting down. Future fresh ids are bumped past `job_id` so the
-    /// monotonic-id invariant survives the restart.
-    pub fn resubmit_as(
-        &self,
-        tenant: &str,
-        job_id: u64,
-        shape: TorusShape,
-        payload: PayloadSpec,
-        config: RuntimeConfig,
-        deadline: Option<Duration>,
-    ) -> Result<JobHandle, SubmitError> {
-        self.resubmit_op_as(
-            tenant,
-            job_id,
-            shape,
-            JobOp::Alltoall,
-            payload,
-            config,
-            deadline,
-        )
-    }
-
-    /// [`resubmit_as`](Engine::resubmit_as) for any [`JobOp`] — the
-    /// crash-recovery path for collective jobs replayed from the
-    /// daemon's journal.
+    /// Re-enqueues a journal-recovered job of any [`JobOp`] under its
+    /// original id, bypassing the queue-depth, quota, and rate-limit
+    /// checks — the job was already admitted once, before the crash.
+    /// Fails only while shutting down. Future fresh ids are bumped past
+    /// `job_id` so the monotonic-id invariant survives the restart.
     #[allow(clippy::too_many_arguments)]
     pub fn resubmit_op_as(
         &self,

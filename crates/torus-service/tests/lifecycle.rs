@@ -6,7 +6,9 @@
 use std::time::{Duration, Instant};
 
 use torus_runtime::{FaultPlan, RetryPolicy, RuntimeConfig, WorkerFaultKind};
-use torus_service::{CancelOutcome, Engine, EngineConfig, JobHandle, JobStatus, PayloadSpec};
+use torus_service::{
+    CancelOutcome, Engine, EngineConfig, JobHandle, JobOp, JobStatus, PayloadSpec,
+};
 use torus_topology::TorusShape;
 
 fn shape() -> TorusShape {
@@ -168,9 +170,10 @@ fn watchdog_reaps_past_deadline_job() {
     );
     let submitted_at = Instant::now();
     let job = engine
-        .submit_with_deadline(
+        .submit_op_with_deadline(
             "default",
             shape(),
+            JobOp::Alltoall,
             PayloadSpec::Pattern,
             stalled_cfg(Duration::from_secs(30)),
             Some(Duration::from_millis(150)),
@@ -225,9 +228,10 @@ fn default_and_max_deadline_bound_every_job() {
         .unwrap();
     // Requests far above the max: clamped to 200ms.
     let clamped = engine
-        .submit_with_deadline(
+        .submit_op_with_deadline(
             "default",
             shape(),
+            JobOp::Alltoall,
             PayloadSpec::Pattern,
             stalled_cfg(Duration::from_secs(30)),
             Some(Duration::from_secs(3600)),

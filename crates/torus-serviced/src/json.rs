@@ -1,11 +1,10 @@
 //! A hand-rolled JSON value, parser, and writer.
 //!
-//! The workspace's vendored `serde_json` is an offline stub (its
-//! `to_string` emits `{}` and its `from_str` always errs), so the wire
-//! protocol cannot lean on it. This module is a small, real JSON
-//! implementation: a recursive-descent parser with a depth cap and an
-//! escaping writer. Objects preserve insertion order (a `Vec` of pairs),
-//! which keeps output deterministic for tests and diffing.
+//! The workspace's only JSON implementation: the wire protocol, the
+//! CLI's `--json` output and the bench exports all go through it. It is
+//! a recursive-descent parser with a depth cap and an escaping writer.
+//! Objects preserve insertion order (a `Vec` of pairs), which keeps
+//! output deterministic for tests and diffing.
 
 use std::fmt::Write as _;
 
@@ -399,33 +398,47 @@ impl<'a> Parser<'a> {
         Ok(code)
     }
 
+    /// One RFC 8259 number, `-? (0 | [1-9][0-9]*) (.[0-9]+)?
+    /// ([eE][+-]?[0-9]+)?`, whose value is a finite double.
     fn number(&mut self) -> Result<Json, ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+        // A leading zero stands alone: `01` leaves `1` as trailing input.
+        if self.peek() == Some(b'0') {
             self.pos += 1;
+        } else {
+            self.digits()?;
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            self.digits()?;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            self.digits()?;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("invalid number"))
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+            _ => Err(self.err("number out of range")),
+        }
+    }
+
+    /// One or more ASCII digits.
+    fn digits(&mut self) -> Result<(), ParseError> {
+        let start = self.pos;
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return Err(self.err("expected digit in number"));
+        }
+        Ok(())
     }
 }
 
@@ -480,8 +493,17 @@ mod tests {
             "{\"k\":\"\\q\"}",
             "1 2",
             "\"\\ud800\"",
+            "01",
+            "1.",
+            "-.5",
+            "1.e5",
+            "{\"seed\":007}",
+            "1E400",
         ] {
             assert!(parse(bad).is_err(), "accepted malformed input {bad:?}");
+        }
+        for (good, n) in [("-0", 0.0), ("0", 0.0), ("1e5", 1e5), ("-1.5e2", -150.0)] {
+            assert_eq!(parse(good).unwrap().as_f64(), Some(n), "rejected {good:?}");
         }
     }
 

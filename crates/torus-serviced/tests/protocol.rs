@@ -43,6 +43,8 @@ fn malformed_lines_get_error_events_and_the_connection_survives() {
         r#"{"op":"submit"}"#,
         "\"just a string\"",
         "null",
+        r#"{"op":"status","job_id":01}"#,
+        r#"{"op":"submit","spec":{"shape":[4,4],"seed":1.}}"#,
     ] {
         client.send_raw_bytes(junk.as_bytes()).unwrap();
         client.send_raw_bytes(b"\n").unwrap();

@@ -9,7 +9,7 @@ use crate::trace::Trace;
 use crate::transmission::Transmission;
 
 /// Statistics of one executed step.
-#[derive(Clone, Copy, Debug, Default, PartialEq, serde::Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct StepStat {
     /// Number of messages in the step.
     pub messages: u32,

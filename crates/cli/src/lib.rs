@@ -853,7 +853,6 @@ pub fn execute(cmd: Command) -> Result<String, String> {
                     .map(torus_serviced::JournalConfig::new),
                 idle_timeout: (idle_timeout_secs > 0)
                     .then(|| std::time::Duration::from_secs(idle_timeout_secs)),
-                ..torus_serviced::DaemonConfig::default()
             })
             .map_err(|e| format!("serve: {e}"))?;
             let bound = daemon.local_addr().map_err(|e| e.to_string())?;

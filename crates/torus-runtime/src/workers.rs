@@ -380,15 +380,4 @@ mod tests {
         pool.shutdown();
         pool.shutdown();
     }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn shutdown_returns_thread_count_to_baseline() {
-        let count = || std::fs::read_dir("/proc/self/task").unwrap().count();
-        let before = count();
-        let pool = WorkerPool::new(6);
-        assert_eq!(count(), before + 6);
-        pool.shutdown();
-        assert_eq!(count(), before, "no leaked pool threads after shutdown");
-    }
 }

@@ -740,35 +740,26 @@ impl Engine {
     /// normally. The canceled job counts as failed, so per-tenant books
     /// (accepted == completed + failed) still balance.
     pub fn cancel_queued(&self, job_id: u64) -> bool {
+        let Some(job) = self.take_queued(job_id) else {
+            return false;
+        };
         let shared = &self.shared;
-        for shard in &shared.shards {
-            let mut shard = lk(shard);
-            let names: Vec<Arc<str>> = shard.tenants.keys().cloned().collect();
-            for name in names {
-                let entry = shard.tenants.get_mut(&name).expect("key just listed");
-                if let Some(pos) = entry.jobs.iter().position(|job| job.id == job_id) {
-                    let job = entry.jobs.remove(pos).expect("position just found");
-                    shared.cells.failed.fetch_add(1, Ordering::Relaxed);
-                    job.tenant_cells.failed.fetch_add(1, Ordering::Relaxed);
-                    drop(shard);
-                    lk(&shared.lifecycle).remove(&job_id);
-                    shared.total_queued.fetch_sub(1, Ordering::SeqCst);
-                    job.state.finish(
-                        JobStatus::Failed,
-                        JobResult {
-                            job_id,
-                            report: None,
-                            deliveries: None,
-                            error: Some("canceled: admission journal unavailable".to_string()),
-                            cache_hit: false,
-                        },
-                    );
-                    shared.signal_work(true);
-                    return true;
-                }
-            }
-        }
-        false
+        shared.cells.failed.fetch_add(1, Ordering::Relaxed);
+        job.tenant_cells.failed.fetch_add(1, Ordering::Relaxed);
+        lk(&shared.lifecycle).remove(&job_id);
+        shared.total_queued.fetch_sub(1, Ordering::SeqCst);
+        job.state.finish(
+            JobStatus::Failed,
+            JobResult {
+                job_id,
+                report: None,
+                deliveries: None,
+                error: Some("canceled: admission journal unavailable".to_string()),
+                cache_hit: false,
+            },
+        );
+        shared.signal_work(true);
+        true
     }
 
     /// Cancels a job in any pre-terminal state.
@@ -785,20 +776,10 @@ impl Engine {
     /// alone, and the daemon checks ownership in its registry first.
     pub fn cancel(&self, job_id: u64) -> CancelOutcome {
         let shared = &self.shared;
-        // Queued first: such a job can be finished right here. Scanning
-        // the shards is O(queued jobs) but cancel is rare.
-        for shard_mutex in &shared.shards {
-            let mut shard = lk(shard_mutex);
-            let names: Vec<Arc<str>> = shard.tenants.keys().cloned().collect();
-            for name in names {
-                let entry = shard.tenants.get_mut(&name).expect("key just listed");
-                if let Some(pos) = entry.jobs.iter().position(|job| job.id == job_id) {
-                    let job = entry.jobs.remove(pos).expect("position just found");
-                    drop(shard);
-                    shared.finish_cancelled_queued(job);
-                    return CancelOutcome::Cancelled;
-                }
-            }
+        // Queued first: such a job can be finished right here.
+        if let Some(job) = self.take_queued(job_id) {
+            shared.finish_cancelled_queued(job);
+            return CancelOutcome::Cancelled;
         }
         // Not queued but still live: a driver owns it (running, or in
         // the claim→dispatch window). Pull the trigger; the driver
@@ -810,6 +791,21 @@ impl Engine {
             }
             None => CancelOutcome::Unknown,
         }
+    }
+
+    /// Removes job `job_id` from its tenant queue, if it is still
+    /// queued. Scanning the shards is O(queued jobs), but cancels are
+    /// rare.
+    fn take_queued(&self, job_id: u64) -> Option<QueuedJob> {
+        for shard in &self.shared.shards {
+            let mut shard = lk(shard);
+            for entry in shard.tenants.values_mut() {
+                if let Some(pos) = entry.jobs.iter().position(|job| job.id == job_id) {
+                    return entry.jobs.remove(pos);
+                }
+            }
+        }
+        None
     }
 
     /// Guarantees every future fresh id exceeds `id`. Used after crash

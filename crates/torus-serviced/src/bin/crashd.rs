@@ -8,15 +8,13 @@
 //! port file on the clean exit path (a SIGKILL leaves it behind — the
 //! harness treats a stale file's port as possibly dead and retries).
 
-use std::time::Duration;
-
 use torus_service::EngineConfig;
 use torus_serviced::{Daemon, DaemonConfig, JournalConfig};
 
 fn usage() -> ! {
     eprintln!(
         "usage: crashd --journal-dir DIR [--port-file PATH] [--pool N] \
-         [--drivers N] [--queue-depth N] [--status-poll-ms N]"
+         [--drivers N] [--queue-depth N]"
     );
     std::process::exit(2);
 }
@@ -27,7 +25,6 @@ fn main() {
     let mut pool = 4usize;
     let mut drivers = 2usize;
     let mut queue_depth = 256usize;
-    let mut status_poll_ms = 1u64;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -57,10 +54,6 @@ fn main() {
                 take(&mut value);
                 queue_depth = value.parse().unwrap_or_else(|_| usage());
             }
-            "--status-poll-ms" => {
-                take(&mut value);
-                status_poll_ms = value.parse().unwrap_or_else(|_| usage());
-            }
             _ => usage(),
         }
     }
@@ -73,7 +66,6 @@ fn main() {
             .with_pool_size(pool)
             .with_drivers(drivers)
             .with_queue_depth(queue_depth),
-        status_poll: Duration::from_millis(status_poll_ms),
         journal: Some(JournalConfig::new(&journal_dir)),
         ..DaemonConfig::default()
     };

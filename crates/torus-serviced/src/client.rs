@@ -47,6 +47,9 @@ pub struct DoneEvent {
     /// or `"deadline_exceeded"`. Derived from `ok` when talking to a
     /// daemon predating the field.
     pub state: String,
+    /// The distinct `status` states streamed for this job before its
+    /// `done`, in arrival order (duplicates from heartbeats collapsed).
+    pub status_trace: Vec<String>,
 }
 
 impl DoneEvent {
@@ -73,6 +76,7 @@ impl DoneEvent {
                 .and_then(Json::as_str)
                 .map(str::to_string)
                 .unwrap_or_else(|| if ok { "completed" } else { "failed" }.to_string()),
+            status_trace: Vec::new(),
         })
     }
 }
@@ -177,8 +181,8 @@ pub struct Client {
     /// `done` events read while waiting for something else, keyed by
     /// job id, until `wait_done` collects them.
     parked_done: HashMap<u64, DoneEvent>,
-    /// Every `status` state seen per job, in arrival order (duplicates
-    /// from heartbeats collapsed).
+    /// Every `status` state seen per job whose `done` has not arrived
+    /// yet, in arrival order (duplicates from heartbeats collapsed).
     status_trace: HashMap<u64, Vec<String>>,
     /// One-line description of the last streamed event, carried in
     /// [`ClientError::Disconnected`] when the connection dies.
@@ -258,11 +262,7 @@ impl Client {
             let event = self.read_event()?;
             match event.get("ev").and_then(Json::as_str) {
                 Some("status") => self.record_status(&event),
-                Some("done") => {
-                    let done = DoneEvent::from_json(&event)?;
-                    self.last_event = Some(format!("done job {}", done.job_id));
-                    self.parked_done.insert(done.job_id, done);
-                }
+                Some("done") => self.park_done(&event)?,
                 Some(_) => return Ok(event),
                 None => {
                     return Err(ClientError::Protocol(format!(
@@ -272,6 +272,16 @@ impl Client {
                 }
             }
         }
+    }
+
+    /// Parks a `done` event for `wait_done`, moving the job's status
+    /// trace into it so finished jobs leave nothing behind.
+    fn park_done(&mut self, event: &Json) -> Result<(), ClientError> {
+        let mut done = DoneEvent::from_json(event)?;
+        self.last_event = Some(format!("done job {}", done.job_id));
+        done.status_trace = self.status_trace.remove(&done.job_id).unwrap_or_default();
+        self.parked_done.insert(done.job_id, done);
+        Ok(())
     }
 
     fn record_status(&mut self, event: &Json) {
@@ -522,11 +532,7 @@ impl Client {
             let event = self.read_event()?;
             match event.get("ev").and_then(Json::as_str) {
                 Some("status") => self.record_status(&event),
-                Some("done") => {
-                    let done = DoneEvent::from_json(&event)?;
-                    self.last_event = Some(format!("done job {}", done.job_id));
-                    self.parked_done.insert(done.job_id, done);
-                }
+                Some("done") => self.park_done(&event)?,
                 Some(other) => {
                     return Err(ClientError::Protocol(format!(
                         "unexpected {other:?} event while waiting for job {job_id}"
@@ -540,11 +546,6 @@ impl Client {
                 }
             }
         }
-    }
-
-    /// The distinct status states seen for `job_id`, in order.
-    pub fn status_trace(&self, job_id: u64) -> &[String] {
-        self.status_trace.get(&job_id).map_or(&[], Vec::as_slice)
     }
 
     /// Fetches the `stats` event (service aggregate + per-tenant).

@@ -7,10 +7,10 @@
 //! no-async-runtime, threads-and-locks style:
 //!
 //! * **Fixed thread pool.** [`Daemon::run`](crate::server::Daemon::run)
-//!   spawns `reactor_threads` reactor threads; accepted connections are
-//!   assigned round-robin and stay on their reactor for life. Daemon
-//!   thread count is O(reactor pool + engine drivers), independent of
-//!   connection and job counts.
+//!   spawns `reactor_threads` reactor threads. Reactor 0 polls the
+//!   listener too and assigns accepted connections round-robin; they
+//!   stay on their reactor for life. Daemon thread count is O(reactor
+//!   pool + engine drivers), independent of connection and job counts.
 //! * **Non-blocking sockets, `poll` via direct FFI.** The container
 //!   vendors no libc crate, so the three syscall entry points the
 //!   reactor needs (`poll`, `pipe`, plus raw `read`/`write`/`close` for
@@ -21,10 +21,11 @@
 //!   writer clone the pump threads shared. A client that stops reading
 //!   past [`MAX_WRITE_BUFFER`] queued bytes is disconnected rather than
 //!   ballooning the daemon.
-//! * **Inline job pumping.** Each reactor iteration polls the tracked
-//!   jobs of its connections (`status` transitions, heartbeats, final
-//!   `done`), so a connection with a thousand in-flight jobs costs one
-//!   scan, not a thousand threads.
+//! * **Inline job pumping.** The engine's event hook wakes every
+//!   reactor when a job starts or finishes; each iteration then scans
+//!   the tracked jobs of its connections (`status` transitions,
+//!   heartbeats, final `done`), so a connection with a thousand
+//!   in-flight jobs costs one scan, not a thousand threads.
 //!
 //! ## Admission batching and the durability barrier
 //!
@@ -60,7 +61,7 @@
 //! [`Engine::cancel_queued`]: torus_service::Engine::cancel_queued
 
 use std::io::{self, ErrorKind, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::raw::{c_int, c_ulong, c_void};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -73,6 +74,7 @@ use crate::journal::JournalError;
 use crate::json::Json;
 use crate::proto::{self, Request, MAX_LINE_BYTES};
 use crate::server::{done_event, CancelLookup, DaemonShared, Terminal};
+use crate::signal;
 use crate::spec::JobSpec;
 
 /// A client that stops reading while events stream is disconnected once
@@ -84,10 +86,14 @@ pub(crate) const MAX_WRITE_BUFFER: usize = 4 * 1024 * 1024;
 /// (`done`, `drained`) to slow clients before giving up.
 const CLOSE_FLUSH_DEADLINE: Duration = Duration::from_secs(5);
 
-/// Poll timeout while no connection has live jobs or unflushed output —
-/// the reactor still wakes for inbox messages via the wake pipe, so
-/// this only bounds how stale the `closed` check can get.
+/// The poll timeout. Inbox messages, job transitions, and the drain
+/// verdict arrive through the wake pipe, so this tick only bounds idle
+/// reaping, SIGTERM detection, and how late a heartbeat can be.
 const IDLE_POLL: Duration = Duration::from_millis(50);
+
+/// A tracked job's current status is resent this often, so a client
+/// watching a long-queued job sees liveness, not silence.
+const HEARTBEAT: Duration = Duration::from_millis(500);
 
 fn lk<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -118,9 +124,9 @@ extern "C" {
 }
 
 /// A self-pipe wakeup. The write end is signalled by other threads
-/// (accept loop handing over a connection, the drain helper announcing
-/// the published final stats); the reactor polls the read end
-/// alongside its sockets.
+/// (reactor 0 handing over a connection, the engine's event hook on a
+/// job transition, `Daemon::run` announcing the published final stats);
+/// the reactor polls the read end alongside its sockets.
 ///
 /// The pipe stays in blocking mode on purpose: the reactor only reads
 /// it after `POLLIN`, and a read never asks for more than one buffer
@@ -182,16 +188,11 @@ impl Drop for Waker {
     }
 }
 
-/// A message injected into a reactor from another thread.
-pub(crate) enum Inject {
-    /// A freshly accepted connection.
-    Conn(TcpStream),
-}
-
 /// The handle other threads use to feed a reactor.
 pub(crate) struct ReactorHandle {
-    inbox: Mutex<Vec<Inject>>,
-    waker: Waker,
+    /// Freshly accepted connections, handed over by reactor 0.
+    inbox: Mutex<Vec<TcpStream>>,
+    pub(crate) waker: Waker,
 }
 
 impl ReactorHandle {
@@ -202,14 +203,8 @@ impl ReactorHandle {
         })
     }
 
-    pub(crate) fn send(&self, msg: Inject) {
-        lk(&self.inbox).push(msg);
-        self.waker.wake();
-    }
-
-    /// Wakes the reactor without a message — used when a shared flag
-    /// (`closed`) changed.
-    pub(crate) fn wake(&self) {
+    pub(crate) fn send(&self, stream: TcpStream) {
+        lk(&self.inbox).push(stream);
         self.waker.wake();
     }
 }
@@ -218,7 +213,8 @@ impl ReactorHandle {
 struct JobTrack {
     handle: JobHandle,
     last_state: &'static str,
-    polls: u32,
+    /// When the last `status` line for this job was queued.
+    last_sent: Instant,
 }
 
 /// One slot in a connection's parked submit-reply queue. Replies to a
@@ -298,31 +294,41 @@ fn queue_event(wbuf: &mut Vec<u8>, event: &Json) {
     wbuf.push(b'\n');
 }
 
-/// The reactor thread body. Runs until the daemon is closed and every
-/// final event is flushed (or the flush deadline passes).
-pub(crate) fn reactor_loop(shared: &Arc<DaemonShared>, handle: &Arc<ReactorHandle>) {
+/// The body of reactor `index`, which also accepts from `listener` (if
+/// given) until the drain verdict. Runs until the daemon is closed and
+/// every final event is flushed (or the flush deadline passes).
+pub(crate) fn reactor_loop(
+    shared: &Arc<DaemonShared>,
+    index: usize,
+    mut listener: Option<TcpListener>,
+) {
+    let handle = &shared.reactors[index];
     let mut conns: Vec<Conn> = Vec::new();
     let mut fds: Vec<PollFd> = Vec::new();
     let mut close_deadline: Option<Instant> = None;
+    let mut next_conn = 0usize;
+    // After a hard accept error (e.g. out of fds) the listener sits out
+    // one poll, so a persistent error cannot spin the reactor.
+    let mut accept_paused = false;
 
     loop {
         // Inbox: adopt new connections.
-        for msg in lk(&handle.inbox).drain(..) {
-            match msg {
-                Inject::Conn(stream) => {
-                    if let Ok(conn) = Conn::new(stream) {
-                        conns.push(conn);
-                    }
-                }
+        for stream in lk(&handle.inbox).drain(..) {
+            if let Ok(conn) = Conn::new(stream) {
+                conns.push(conn);
             }
         }
 
-        let closed = shared.closed.load(Ordering::SeqCst);
+        // The published drain verdict closes the daemon: every job is
+        // terminal by then.
+        let verdict = lk(&shared.drained_event).clone();
+        let closed = verdict.is_some();
         if closed && close_deadline.is_none() {
             close_deadline = Some(Instant::now() + CLOSE_FLUSH_DEADLINE);
+            listener = None;
         }
 
-        // Poll: the wake pipe plus every live socket.
+        // Poll: the wake pipe, every live socket, and the listener last.
         fds.clear();
         fds.push(PollFd {
             fd: handle.waker.rd,
@@ -347,19 +353,18 @@ pub(crate) fn reactor_loop(shared: &Arc<DaemonShared>, handle: &Arc<ReactorHandl
                 revents: 0,
             });
         }
-        let busy = conns
-            .iter()
-            .any(|c| !c.tracks.is_empty() || !c.pending.is_empty() || c.has_unflushed());
-        let timeout = if busy || closed {
-            shared.status_poll.max(Duration::from_millis(1))
-        } else {
-            IDLE_POLL
-        };
+        if let Some(listener) = &listener {
+            fds.push(PollFd {
+                fd: listener.as_raw_fd(),
+                events: if accept_paused { 0 } else { POLLIN },
+                revents: 0,
+            });
+        }
         let rc = unsafe {
             poll(
                 fds.as_mut_ptr(),
                 fds.len() as c_ulong,
-                timeout.as_millis().min(i32::MAX as u128) as c_int,
+                IDLE_POLL.as_millis() as c_int,
             )
         };
         if rc < 0 {
@@ -373,6 +378,32 @@ pub(crate) fn reactor_loop(shared: &Arc<DaemonShared>, handle: &Arc<ReactorHandl
         }
         if fds[0].revents & POLLIN != 0 {
             handle.waker.drain();
+        }
+        if signal::triggered() {
+            shared.start_drain();
+        }
+
+        // Accept until `WouldBlock`, dealing connections out round-robin
+        // (this reactor's share arrives through its own inbox).
+        accept_paused = false;
+        if let Some(listener) = &listener {
+            if fds[fds.len() - 1].revents & POLLIN != 0 {
+                loop {
+                    match listener.accept() {
+                        Ok((stream, _peer)) => {
+                            let reactors = &shared.reactors;
+                            reactors[next_conn % reactors.len()].send(stream);
+                            next_conn += 1;
+                        }
+                        Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                        Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                        Err(_) => {
+                            accept_paused = true;
+                            break;
+                        }
+                    }
+                }
+            }
         }
 
         // Read every readable socket fully (edge towards exhaustion so
@@ -417,23 +448,17 @@ pub(crate) fn reactor_loop(shared: &Arc<DaemonShared>, handle: &Arc<ReactorHandl
             }
         }
 
-        // Deliver the drain verdict: once the (single) drain helper has
-        // published the final stats, every connection owed a `drained`
-        // reply gets it — whichever reactor it lives on.
-        if conns.iter().any(|c| c.await_drain) {
-            if let Some(event) = lk(&shared.drained_event).clone() {
-                for conn in &mut conns {
-                    if conn.await_drain {
-                        queue_event(&mut conn.wbuf, &event);
-                        conn.await_drain = false;
-                    }
-                }
+        // Deliver the drain verdict to every connection owed one.
+        if let Some(event) = &verdict {
+            for conn in conns.iter_mut().filter(|c| c.await_drain) {
+                queue_event(&mut conn.wbuf, event);
+                conn.await_drain = false;
             }
         }
 
         // Pump tracked jobs: transitions, heartbeats, final `done`.
         for conn in &mut conns {
-            pump_tracks(conn, shared);
+            pump_tracks(conn);
         }
 
         // Flush write queues.
@@ -467,6 +492,15 @@ pub(crate) fn reactor_loop(shared: &Arc<DaemonShared>, handle: &Arc<ReactorHandl
             }
         }
         conns.retain(|c| !c.dead);
+
+        // Lines deferred behind this iteration's durability barrier are
+        // ready now: come straight back for them.
+        if conns
+            .iter()
+            .any(|c| !c.await_drain && c.rbuf.contains(&b'\n'))
+        {
+            handle.waker.wake();
+        }
 
         if closed {
             let deadline_passed = close_deadline.is_some_and(|d| Instant::now() >= d);
@@ -586,7 +620,7 @@ fn dispatch(conn: &mut Conn, request: Request, shared: &Arc<DaemonShared>) {
                 .map(crate::journal::Journal::stats);
             let (live, terminal) = shared.registry.counts();
             let daemon = Json::obj([
-                ("reactor_threads", Json::u64(shared.reactor_threads as u64)),
+                ("reactor_threads", Json::u64(shared.reactors.len() as u64)),
                 ("registry_live", Json::u64(live as u64)),
                 ("registry_terminal", Json::u64(terminal as u64)),
                 (
@@ -620,31 +654,16 @@ fn dispatch(conn: &mut Conn, request: Request, shared: &Arc<DaemonShared>) {
             queue_event(&mut conn.wbuf, &reply);
         }
         Request::Drain => {
-            shared.draining.store(true, Ordering::SeqCst);
+            // `Daemon::run` waits out the engine drain, publishes the
+            // final stats, and wakes every reactor so each delivers the
+            // `drained` reply to its own waiting connections.
+            shared.start_drain();
             // Already drained: answer from the cached verdict.
             if let Some(event) = lk(&shared.drained_event).clone() {
                 queue_event(&mut conn.wbuf, &event);
                 return;
             }
             conn.await_drain = true;
-            // The engine drain can take arbitrarily long; a single
-            // helper thread (first drain request wins — repeated drains
-            // must not each add a thread) waits it out, publishes the
-            // final stats, and wakes every reactor so each delivers the
-            // `drained` reply to its own waiting connections.
-            if !shared.drain_helper_spawned.swap(true, Ordering::SeqCst) {
-                let shared = Arc::clone(shared);
-                std::thread::Builder::new()
-                    .name("serviced-drain".to_string())
-                    .spawn(move || {
-                        let stats = shared.engine.shutdown();
-                        *lk(&shared.drained_event) = Some(proto::drained(&stats));
-                        for reactor in lk(&shared.reactors).iter() {
-                            reactor.wake();
-                        }
-                    })
-                    .expect("spawn drain helper");
-            }
         }
         Request::Submit { spec } => handle_submit(conn, spec, shared),
     }
@@ -689,7 +708,7 @@ fn submit_reply(conn: &mut Conn, event: Json) {
 /// Admission: engine submit, then journal append (durability parked for
 /// the iteration barrier) or immediate acceptance without a journal.
 fn handle_submit(conn: &mut Conn, spec: Json, shared: &Arc<DaemonShared>) {
-    if shared.draining.load(Ordering::SeqCst) {
+    if *lk(&shared.draining) {
         submit_reply(
             conn,
             proto::rejected("draining", "daemon is draining; no new jobs"),
@@ -787,7 +806,7 @@ fn accept_job(conn: &mut Conn, shared: &DaemonShared, handle: JobHandle) {
     conn.tracks.push(JobTrack {
         handle,
         last_state: "",
-        polls: 0,
+        last_sent: Instant::now(),
     });
 }
 
@@ -851,10 +870,11 @@ fn journal_reject(shared: &DaemonShared, tenant: &str, reason: &str) {
 /// Streams tracked jobs: a `status` line per transition (plus periodic
 /// heartbeats), then the final `done`, after which the track is
 /// dropped.
-fn pump_tracks(conn: &mut Conn, shared: &DaemonShared) {
+fn pump_tracks(conn: &mut Conn) {
     if conn.tracks.is_empty() || conn.dead {
         return;
     }
+    let now = Instant::now();
     let mut tracks = std::mem::take(&mut conn.tracks);
     tracks.retain_mut(|track| {
         let state = match track.handle.try_status() {
@@ -868,11 +888,11 @@ fn pump_tracks(conn: &mut Conn, shared: &DaemonShared) {
                 return false;
             }
         };
-        if state != track.last_state || track.polls.is_multiple_of(shared.heartbeat_polls) {
+        if state != track.last_state || now.duration_since(track.last_sent) >= HEARTBEAT {
             queue_event(&mut conn.wbuf, &proto::status(track.handle.id(), state));
             track.last_state = state;
+            track.last_sent = now;
         }
-        track.polls += 1;
         true
     });
     conn.tracks = tracks;
@@ -904,8 +924,18 @@ fn flush_writes(conn: &mut Conn) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Whether `waker`'s pipe turns readable within `timeout_ms`.
+    pub(crate) fn readable(waker: &Waker, timeout_ms: c_int) -> bool {
+        let mut fds = [PollFd {
+            fd: waker.rd,
+            events: POLLIN,
+            revents: 0,
+        }];
+        unsafe { poll(fds.as_mut_ptr(), 1, timeout_ms) > 0 }
+    }
 
     /// The oversized-line cap must fire on one unterminated line past
     /// the limit — and only on that, never on a backlog of small
@@ -943,15 +973,6 @@ mod tests {
     #[test]
     fn waker_survives_racing_wakes() {
         let waker = Arc::new(Waker::new().expect("wake pipe"));
-
-        fn readable(waker: &Waker, timeout_ms: c_int) -> bool {
-            let mut fds = [PollFd {
-                fd: waker.rd,
-                events: POLLIN,
-                revents: 0,
-            }];
-            unsafe { poll(fds.as_mut_ptr(), 1, timeout_ms) > 0 }
-        }
 
         let racer = {
             let waker = Arc::clone(&waker);

@@ -1,26 +1,21 @@
-//! The daemon: a blocking TCP accept loop in front of a fixed pool of
-//! poll-reactor threads ([`crate::reactor`]). No async runtime — the
-//! concurrency story is the same hand-rolled threads-and-locks the rest
-//! of the workspace uses.
+//! The daemon: a fixed pool of poll-reactor threads ([`crate::reactor`])
+//! behind one listening socket. No async runtime — the concurrency
+//! story is the same hand-rolled threads-and-locks the rest of the
+//! workspace uses.
 //!
 //! ## Threading model
 //!
-//! * **Accept loop** (the thread calling [`Daemon::run`]): nonblocking
-//!   accept + short sleep, so it can poll the drain/SIGTERM flags.
-//!   Accepted connections are assigned round-robin to…
 //! * **A fixed pool of reactor threads** (`reactor_threads`, default
 //!   4): each drives all reads, request handling, job-status streaming,
 //!   and writes for its connections over non-blocking sockets and
-//!   `poll(2)`. Connection count and in-flight job count add *no*
+//!   `poll(2)`, woken by the engine's event hook whenever a job starts
+//!   or finishes. Reactor 0 also accepts, handing connections out
+//!   round-robin. Connection count and in-flight job count add *no*
 //!   threads — total daemon threads are O(reactor pool + engine
 //!   drivers + worker pool), plus the journal's single flusher.
-//! * **Transient drain helper**: the first `drain` request spawns one
-//!   short-lived helper thread that waits out the engine drain and
-//!   publishes the final stats, so the reactors keep serving every
-//!   other connection meanwhile. Repeated drains share that helper —
-//!   they park for the published verdict rather than each adding a
-//!   thread, keeping thread count a function of configuration, never
-//!   of client behavior.
+//! * **The [`Daemon::run`] thread** waits until a `drain` request or
+//!   SIGTERM, then performs the drain and publishes its verdict, so no
+//!   drain ever adds a thread.
 //!
 //! ## Durability
 //!
@@ -45,8 +40,8 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, ErrorKind};
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::AtomicU64;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -58,7 +53,7 @@ use crate::checksum;
 use crate::journal::{Journal, JournalConfig};
 use crate::json::Json;
 use crate::proto;
-use crate::reactor::{self, Inject, ReactorHandle};
+use crate::reactor::{self, ReactorHandle};
 use crate::signal;
 use crate::spec::JobSpec;
 
@@ -70,12 +65,6 @@ pub struct DaemonConfig {
     pub addr: String,
     /// The engine the daemon fronts.
     pub engine: EngineConfig,
-    /// How often reactors poll tracked job status (and the accept loop
-    /// polls shutdown).
-    pub status_poll: Duration,
-    /// Resend the current status every this many polls, so a client
-    /// watching a long-queued job sees liveness, not silence.
-    pub heartbeat_polls: u32,
     /// Reactor threads driving the connection plane. Default 4.
     pub reactor_threads: usize,
     /// Write-ahead admission journal. `Some` makes every admission
@@ -94,8 +83,6 @@ impl Default for DaemonConfig {
         Self {
             addr: "127.0.0.1:0".to_string(),
             engine: EngineConfig::default(),
-            status_poll: Duration::from_millis(2),
-            heartbeat_polls: 250,
             reactor_threads: 4,
             journal: None,
             idle_timeout: None,
@@ -290,13 +277,10 @@ impl Registry {
 
 pub(crate) struct DaemonShared {
     pub(crate) engine: Engine,
-    /// Admission stopped (drain op or SIGTERM); accept loop exits.
-    pub(crate) draining: AtomicBool,
-    /// Engine fully drained; reactors flush final events and exit.
-    pub(crate) closed: AtomicBool,
-    pub(crate) status_poll: Duration,
-    pub(crate) heartbeat_polls: u32,
-    pub(crate) reactor_threads: usize,
+    /// Admission stopped (drain op or SIGTERM); [`Daemon::run`] waits on
+    /// `drain_cv` for it to flip.
+    pub(crate) draining: Mutex<bool>,
+    drain_cv: Condvar,
     /// Reap connections idle (no live jobs, no buffered traffic) past
     /// this, when configured.
     pub(crate) idle_timeout: Option<Duration>,
@@ -306,16 +290,21 @@ pub(crate) struct DaemonShared {
     pub(crate) journal: Option<Arc<Journal>>,
     /// Every job id this daemon can answer `status` for.
     pub(crate) registry: Arc<Registry>,
-    /// Set by the first `drain` request to claim the (single) helper
-    /// thread; repeated drains wait on its published verdict instead of
-    /// each adding a thread blocked on the engine's final-stats lock.
-    pub(crate) drain_helper_spawned: AtomicBool,
-    /// The final `drained` event, published once by the drain helper;
-    /// every connection owed a drain reply is answered from it.
+    /// The final `drained` event, published once by [`Daemon::run`]: it
+    /// answers every drain caller and tells the reactors to close.
     pub(crate) drained_event: Mutex<Option<Json>>,
-    /// Every reactor's handle, so the drain helper can wake the whole
-    /// pool when the verdict lands. Populated by [`Daemon::run`].
-    pub(crate) reactors: Mutex<Vec<Arc<ReactorHandle>>>,
+    /// Every reactor's handle, created by [`Daemon::bind`] so the event
+    /// hook can wake the pool before any reactor thread exists.
+    pub(crate) reactors: Vec<Arc<ReactorHandle>>,
+}
+
+impl DaemonShared {
+    /// Stops admission and hands the drain to the [`Daemon::run`]
+    /// thread. Idempotent.
+    pub(crate) fn start_drain(&self) {
+        *lk(&self.draining) = true;
+        self.drain_cv.notify_all();
+    }
 }
 
 fn lk<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -345,6 +334,10 @@ impl Daemon {
     /// records.
     pub fn bind(config: DaemonConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
+        listener.set_nonblocking(true)?;
+        let reactors = (0..config.reactor_threads.clamp(1, 64))
+            .map(|_| ReactorHandle::new().map(Arc::new))
+            .collect::<io::Result<Vec<_>>>()?;
         let registry = Arc::new(Registry::new());
         let mut engine_config = config.engine;
         let opened = match config.journal {
@@ -358,14 +351,19 @@ impl Daemon {
         // The hook runs on driver threads at every job start/finish:
         // journal records first (when journaling), then the registry's
         // live→terminal transition, so `status` stops holding full job
-        // results for the daemon's lifetime.
+        // results for the daemon's lifetime, then a wake for every
+        // reactor (the engine updates a job's state before firing).
         let hook_journal = opened.as_ref().map(|(journal, _)| Arc::clone(journal));
         let hook_registry = Arc::clone(&registry);
+        let hook_reactors = reactors.clone();
         engine_config = engine_config.with_event_hook(Arc::new(move |event| {
             if let Some(journal) = &hook_journal {
                 journal_hook(journal, &event);
             }
             registry_hook(&hook_registry, &event);
+            for reactor in &hook_reactors {
+                reactor.waker.wake();
+            }
         }));
         let engine = Engine::new(engine_config);
         let journal = opened.map(|(journal, recovery)| {
@@ -429,18 +427,14 @@ impl Daemon {
             listener,
             shared: Arc::new(DaemonShared {
                 engine,
-                draining: AtomicBool::new(false),
-                closed: AtomicBool::new(false),
-                status_poll: config.status_poll,
-                heartbeat_polls: config.heartbeat_polls.max(1),
-                reactor_threads: config.reactor_threads.clamp(1, 64),
+                draining: Mutex::new(false),
+                drain_cv: Condvar::new(),
                 idle_timeout: config.idle_timeout,
                 idle_reaped: AtomicU64::new(0),
                 journal,
                 registry,
-                drain_helper_spawned: AtomicBool::new(false),
                 drained_event: Mutex::new(None),
-                reactors: Mutex::new(Vec::new()),
+                reactors,
             }),
         })
     }
@@ -450,67 +444,31 @@ impl Daemon {
         self.listener.local_addr()
     }
 
-    /// Requests a drain as if a client had sent `drain` — used to stop
-    /// a daemon from the thread that owns it.
-    pub fn request_drain(&self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
-    }
-
-    /// Serves until drained (by a `drain` request, [`request_drain`],
-    /// or SIGTERM), then returns the final aggregate stats. Installs
-    /// the SIGTERM flag handler and spawns the reactor pool.
-    ///
-    /// [`request_drain`]: Daemon::request_drain
+    /// Serves until drained (by a `drain` request or SIGTERM), then
+    /// returns the final aggregate stats. Installs the SIGTERM flag
+    /// handler and spawns the reactor pool; reactor 0 owns the
+    /// listener.
     pub fn run(self) -> ServiceStats {
         signal::install();
-        self.listener
-            .set_nonblocking(true)
-            .expect("nonblocking listener");
-        let mut reactors: Vec<Arc<ReactorHandle>> = Vec::new();
-        let mut reactor_threads: Vec<JoinHandle<()>> = Vec::new();
-        for i in 0..self.shared.reactor_threads {
-            let handle = Arc::new(ReactorHandle::new().expect("reactor wake pipe"));
-            let shared = Arc::clone(&self.shared);
-            let thread_handle = Arc::clone(&handle);
-            reactor_threads.push(
+        let Daemon { listener, shared } = self;
+        let mut listener = Some(listener);
+        let reactor_threads: Vec<JoinHandle<()>> = (0..shared.reactors.len())
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                let listener = listener.take();
                 std::thread::Builder::new()
                     .name(format!("serviced-reactor-{i}"))
-                    .spawn(move || reactor::reactor_loop(&shared, &thread_handle))
-                    .expect("spawn reactor thread"),
-            );
-            reactors.push(handle);
-        }
-        // Registered before the first accept, so a drain helper always
-        // sees the full pool when it wakes the reactors.
-        *lk(&self.shared.reactors) = reactors.clone();
-        let mut next_conn_id = 0u64;
-        loop {
-            if signal::triggered() {
-                self.shared.draining.store(true, Ordering::SeqCst);
-            }
-            if self.shared.draining.load(Ordering::SeqCst) {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let target = (next_conn_id % reactors.len() as u64) as usize;
-                    next_conn_id += 1;
-                    reactors[target].send(Inject::Conn(stream));
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(self.shared.status_poll.max(Duration::from_millis(2)));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(5)),
-            }
-        }
-        // Idempotent: if a drain request already shut the engine down,
-        // this returns the same frozen snapshot. Every job is terminal
-        // once it returns, so the reactors' final passes deliver all
-        // remaining `done` events.
-        let stats = self.shared.engine.shutdown();
-        self.shared.closed.store(true, Ordering::SeqCst);
-        for handle in &reactors {
-            handle.wake();
+                    .spawn(move || reactor::reactor_loop(&shared, i, listener))
+                    .expect("spawn reactor thread")
+            })
+            .collect();
+        drop(shared.drain_cv.wait_while(lk(&shared.draining), |d| !*d));
+        // Every job is terminal once shutdown returns, so the reactors'
+        // final passes deliver all remaining `done` events.
+        let stats = shared.engine.shutdown();
+        *lk(&shared.drained_event) = Some(proto::drained(&stats));
+        for reactor in &shared.reactors {
+            reactor.waker.wake();
         }
         for thread in reactor_threads {
             let _ = thread.join();
@@ -525,7 +483,7 @@ impl Daemon {
         let daemon = Self::bind(config)?;
         let addr = daemon.local_addr()?;
         let handle = std::thread::Builder::new()
-            .name("serviced-accept".to_string())
+            .name("serviced-daemon".to_string())
             .spawn(move || daemon.run())
             .expect("spawn daemon thread");
         Ok((addr, handle))
@@ -758,6 +716,31 @@ mod tests {
             registry.cancel_lookup(99, "acme"),
             CancelLookup::Unknown
         ));
+    }
+
+    /// The event hook wakes every reactor: a bound (not running)
+    /// daemon's wake pipes turn readable when a job runs.
+    #[test]
+    fn event_hook_wakes_every_reactor() {
+        use crate::reactor::tests::readable;
+
+        let daemon = Daemon::bind(DaemonConfig::default()).unwrap();
+        let shared = &daemon.shared;
+        for reactor in &shared.reactors {
+            assert!(!readable(&reactor.waker, 0), "no wake before any job");
+        }
+        let spec = JobSpec::default();
+        let job = shared
+            .engine
+            .submit(spec.torus_shape(), spec.payload, spec.runtime_config());
+        assert!(job.unwrap().wait().error.is_none());
+        for (i, reactor) in shared.reactors.iter().enumerate() {
+            assert!(
+                readable(&reactor.waker, 5_000),
+                "reactor {i} was not woken by the job's transitions"
+            );
+        }
+        shared.engine.shutdown();
     }
 
     /// Re-finishing an id (journal replay rediscovering a done record)

@@ -3,10 +3,10 @@
 //! The daemon's graceful-drain contract is "SIGTERM behaves like a
 //! `drain` request". All a signal handler can safely do is set a flag,
 //! so that is all this module does: `install()` registers a handler
-//! that stores into a process-global atomic, and the daemon's accept
-//! loop polls [`triggered`]. The libc `signal` entry point is declared
-//! directly — the container has no signal crate, and one `extern "C"`
-//! line beats carrying one.
+//! that stores into a process-global atomic, and each daemon reactor
+//! checks [`triggered`] on its poll tick. The libc `signal` entry point
+//! is declared directly — the workspace vendors no signal crate, and one
+//! `extern "C"` line beats carrying one.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

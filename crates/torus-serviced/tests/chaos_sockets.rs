@@ -21,7 +21,6 @@ fn quick_config() -> DaemonConfig {
             .with_pool_size(4)
             .with_drivers(2)
             .with_queue_depth(64),
-        status_poll: Duration::from_millis(1),
         ..DaemonConfig::default()
     }
 }
@@ -89,22 +88,15 @@ fn byte_at_a_time_partial_writes_still_parse() {
     daemon.join().unwrap();
 }
 
-/// A client that submits a pile of jobs and then stops reading while
-/// heartbeats stream at full rate is disconnected once its write queue
-/// passes the 4 MiB cap — instead of the daemon buffering without
-/// bound — and the daemon stays healthy for everyone else. The
+/// A client that submits a pile of jobs and then keeps pipelining
+/// requests without ever reading a reply is disconnected once its
+/// write queue passes the 4 MiB cap — instead of the daemon buffering
+/// without bound — and the daemon stays healthy for everyone else. The
 /// abandoned jobs still run to exactly one terminal each.
 #[test]
 fn slow_reader_is_disconnected_at_the_write_cap() {
     const JOBS: usize = 56;
-    let config = DaemonConfig {
-        // One heartbeat per poll per tracked job: tens of thousands of
-        // status events per second at a 1ms poll — megabytes per
-        // second that the slow reader never drains.
-        heartbeat_polls: 1,
-        ..quick_config()
-    };
-    let (addr, daemon) = Daemon::spawn(config).unwrap();
+    let (addr, daemon) = Daemon::spawn(quick_config()).unwrap();
 
     let mut slow = Client::connect(addr).unwrap();
     slow.hello("acme").unwrap();
@@ -112,19 +104,21 @@ fn slow_reader_is_disconnected_at_the_write_cap() {
         .map(|_| slow.submit_raw(stalled_spec(45_000)).unwrap())
         .collect();
 
-    // Stop reading — permanently. The flood fills the kernel socket
-    // buffers, then the daemon-side queue, then trips the cap. Probe
-    // for the daemon-side close by *writing* (never reading, which
-    // would drain the backlog and mask the bug): once the daemon has
-    // closed, a ping lands on a closed socket, the kernel answers
-    // RST, and the next write fails.
+    // Stop reading — permanently — and flood: every pipelined `schema`
+    // request queues a multi-kilobyte reply the client never drains.
+    // The replies fill the kernel socket buffers, then the daemon-side
+    // queue, then trip the cap. The daemon-side close shows up on the
+    // *write* side (never read, which would drain the backlog and mask
+    // the bug): once the daemon has closed, requests land on a closed
+    // socket, the kernel answers RST, and a later write fails.
+    let flood = b"{\"op\":\"schema\"}\n".repeat(64);
     let died = Instant::now() + Duration::from_secs(120);
     loop {
-        if slow.send_raw_bytes(b"{\"op\":\"ping\"}\n").is_err() {
+        if slow.send_raw_bytes(&flood).is_err() {
             break;
         }
         assert!(Instant::now() < died, "slow reader was never disconnected");
-        std::thread::sleep(Duration::from_millis(250));
+        std::thread::sleep(Duration::from_millis(10));
     }
 
     // The daemon is unharmed: a well-behaved client cancels the

@@ -15,7 +15,6 @@ use torus_serviced::{checksum, json::Json, Client, ClientError, Daemon, DaemonCo
 fn quick_config() -> DaemonConfig {
     DaemonConfig {
         engine: EngineConfig::default().with_pool_size(4).with_drivers(2),
-        status_poll: Duration::from_millis(1),
         ..DaemonConfig::default()
     }
 }

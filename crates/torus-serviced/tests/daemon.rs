@@ -6,15 +6,12 @@
 //! the flag is process-global, so raising the signal here would drain
 //! every daemon these parallel tests are running.
 
-use std::time::Duration;
-
 use torus_service::{EngineConfig, TenantQuota};
 use torus_serviced::{checksum, json::Json, Client, ClientError, Daemon, DaemonConfig, JobSpec};
 
 fn quick_config() -> DaemonConfig {
     DaemonConfig {
         engine: EngineConfig::default().with_pool_size(4).with_drivers(2),
-        status_poll: Duration::from_millis(1),
         ..DaemonConfig::default()
     }
 }
@@ -61,10 +58,7 @@ fn submit_streams_status_and_done_with_matching_checksum() {
         "wire checksum must match the spec-side expectation"
     );
     // The pump streamed at least one status before completion.
-    assert!(
-        !client.status_trace(job).is_empty(),
-        "no status events seen"
-    );
+    assert!(!done.status_trace.is_empty(), "no status events seen");
 
     client.drain().unwrap();
     daemon.join().unwrap();
@@ -149,7 +143,6 @@ fn tenant_quota_rejections_are_typed_over_the_wire() {
             .with_drivers(1)
             .with_queue_depth(64)
             .with_default_quota(TenantQuota::default().with_max_queued(1)),
-        status_poll: Duration::from_millis(1),
         ..DaemonConfig::default()
     };
     let (addr, daemon) = Daemon::spawn(config).unwrap();

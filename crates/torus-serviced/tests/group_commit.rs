@@ -6,7 +6,6 @@
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 use torus_service::EngineConfig;
 use torus_serviced::journal::{RecordKind, RECORD_HEADER_BYTES};
@@ -25,7 +24,6 @@ fn journaling_config(dir: &Path) -> DaemonConfig {
             .with_pool_size(4)
             .with_drivers(2)
             .with_queue_depth(256),
-        status_poll: Duration::from_millis(1),
         journal: Some(JournalConfig::new(dir)),
         ..DaemonConfig::default()
     }

@@ -17,7 +17,6 @@ fn quick_config() -> DaemonConfig {
             .with_pool_size(4)
             .with_drivers(2)
             .with_watchdog(Duration::from_millis(5), Duration::from_millis(20)),
-        status_poll: Duration::from_millis(1),
         ..DaemonConfig::default()
     }
 }
@@ -220,7 +219,6 @@ fn cancel_storm_across_tenants_keeps_books_and_journal_exact() {
             .with_pool_size(4)
             .with_drivers(2)
             .with_queue_depth(512),
-        status_poll: Duration::from_millis(1),
         journal: Some(torus_serviced::JournalConfig::new(&journal_dir)),
         ..DaemonConfig::default()
     };
@@ -351,4 +349,79 @@ fn idle_connections_are_reaped_but_busy_ones_survive() {
 
     probe.drain().unwrap();
     daemon.join().unwrap();
+}
+
+/// A client that connects while another client's drain is in flight is
+/// answered, not reset: its `submit` is rejected `draining`, its `ping`
+/// gets a `pong`, and its own `drain` gets the same verdict as the
+/// first drainer.
+#[test]
+fn client_arriving_mid_drain_is_answered() {
+    let config = DaemonConfig {
+        // One driver and a stalled job keep the drain in flight.
+        engine: EngineConfig::default().with_pool_size(4).with_drivers(1),
+        ..DaemonConfig::default()
+    };
+    let (addr, daemon) = Daemon::spawn(config).unwrap();
+
+    let mut first = Client::connect(addr).unwrap();
+    first.hello("acme").unwrap();
+    let job = first.submit_raw(stalled_spec(3_000)).unwrap();
+    wait_running(&mut first, job);
+
+    // Connected before the drain, to see when admission stops. It never
+    // says hello, so its probe submits cannot admit a job either way.
+    let mut probe = Client::connect(addr).unwrap();
+    probe.ping().unwrap();
+
+    first.send_raw_bytes(b"{\"op\":\"drain\"}\n").unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        probe
+            .send_raw_bytes(b"{\"op\":\"submit\",\"spec\":{}}\n")
+            .unwrap();
+        let reply = probe.read_raw_event().unwrap();
+        assert_eq!(reply.get("ev").and_then(Json::as_str), Some("rejected"));
+        match reply.get("reason").and_then(Json::as_str) {
+            Some("draining") => break,
+            Some("unauthenticated") => {}
+            other => panic!("unexpected probe rejection {other:?}"),
+        }
+        assert!(Instant::now() < deadline, "the drain never started");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    // The late client, connected after the drain began.
+    let mut late = Client::connect(addr)
+        .unwrap()
+        .with_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    late.hello("acme").unwrap();
+    match late.submit(&seeded_spec(1)) {
+        Err(torus_serviced::ClientError::Rejected { reason, .. }) => {
+            assert_eq!(reason, "draining");
+        }
+        other => panic!("a submit mid-drain must be rejected draining: {other:?}"),
+    }
+    late.ping().unwrap();
+    assert_eq!(
+        late.status(job).unwrap().state,
+        "running",
+        "the drain must still be in flight while the late client is served"
+    );
+    let late_verdict = late.drain().unwrap();
+
+    let first_verdict = loop {
+        let event = first.read_raw_event().unwrap();
+        if event.get("ev").and_then(Json::as_str) == Some("drained") {
+            break event.get("service").cloned().unwrap();
+        }
+    };
+    assert_eq!(late_verdict, first_verdict, "one drain, one verdict");
+    assert_eq!(
+        first_verdict.get("jobs_completed").and_then(Json::as_u64),
+        Some(1)
+    );
+    let stats = daemon.join().unwrap();
+    assert_eq!(stats.jobs_completed, 1);
 }

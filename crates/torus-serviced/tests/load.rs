@@ -2,8 +2,6 @@
 //! through one daemon, every delivery bit-exact (checksum-verified),
 //! per-tenant books balanced, and zero cross-tenant interference.
 
-use std::time::Duration;
-
 use torus_service::{EngineConfig, PayloadSpec};
 use torus_serviced::{checksum, json::Json, Client, Daemon, DaemonConfig, JobSpec};
 
@@ -36,7 +34,6 @@ fn thousand_jobs_sixteen_tenants_bit_exact() {
             .with_pool_size(8)
             .with_drivers(4)
             .with_queue_depth(2 * TENANTS * JOBS_PER_TENANT),
-        status_poll: Duration::from_millis(1),
         ..DaemonConfig::default()
     };
     let (addr, daemon) = Daemon::spawn(config).unwrap();

@@ -5,7 +5,6 @@
 
 use std::io::Write;
 use std::net::TcpStream;
-use std::time::Duration;
 
 use proptest::prelude::*;
 use torus_service::EngineConfig;
@@ -14,7 +13,6 @@ use torus_serviced::{proto, Client, Daemon, DaemonConfig, JobSpec};
 fn quick_config() -> DaemonConfig {
     DaemonConfig {
         engine: EngineConfig::default().with_pool_size(4).with_drivers(2),
-        status_poll: Duration::from_millis(1),
         ..DaemonConfig::default()
     }
 }
@@ -104,7 +102,6 @@ fn mid_job_disconnect_leaks_nothing_and_the_job_still_completes() {
             .with_pool_size(4)
             .with_drivers(1)
             .with_queue_depth(4),
-        status_poll: Duration::from_millis(1),
         ..DaemonConfig::default()
     };
     let (addr, daemon) = Daemon::spawn(config).unwrap();

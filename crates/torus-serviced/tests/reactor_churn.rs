@@ -10,8 +10,6 @@
 
 #![cfg(target_os = "linux")]
 
-use std::time::Duration;
-
 use torus_service::EngineConfig;
 use torus_serviced::{Client, Daemon, DaemonConfig, JobSpec};
 
@@ -39,7 +37,6 @@ fn hundreds_of_churning_connections_leak_neither_threads_nor_jobs() {
             .with_pool_size(4)
             .with_drivers(2)
             .with_queue_depth(512),
-        status_poll: Duration::from_millis(1),
         reactor_threads: REACTORS,
         ..DaemonConfig::default()
     };

@@ -2,8 +2,6 @@
 //! flag is process-global, so this must not share a process with other
 //! daemon tests running in parallel.
 
-use std::time::Duration;
-
 use torus_service::EngineConfig;
 use torus_serviced::{signal, Client, Daemon, DaemonConfig, JobSpec};
 
@@ -11,7 +9,6 @@ use torus_serviced::{signal, Client, Daemon, DaemonConfig, JobSpec};
 fn sigterm_drains_like_a_drain_request() {
     let config = DaemonConfig {
         engine: EngineConfig::default().with_pool_size(4).with_drivers(2),
-        status_poll: Duration::from_millis(1),
         ..DaemonConfig::default()
     };
     let (addr, daemon) = Daemon::spawn(config).unwrap();

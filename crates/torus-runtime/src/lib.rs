@@ -76,8 +76,8 @@ pub use collective_plan::{
 pub use degrade::{DeadNode, DegradedReport, OnFailure};
 pub use fault::{FaultEvent, FaultEventKind, FaultKind, FaultPlan, WorkerFaultKind};
 pub use message::{
-    crc32, decode_gathered, decode_message, encode_gathered, encode_message, WireError, WireFrame,
-    BLOCK_HEADER_BYTES, MESSAGE_HEADER_BYTES,
+    crc32, crc32_update, decode_gathered, decode_message, encode_gathered, encode_message,
+    WireError, WireFrame, BLOCK_HEADER_BYTES, MESSAGE_HEADER_BYTES,
 };
 pub use payload::{pattern_payload, pattern_seed, seeded_payload};
 pub use pool::{FramePool, PoolBank};

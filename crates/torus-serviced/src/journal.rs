@@ -4,7 +4,7 @@
 //! the client hears about it, so a `kill -9` at any instant loses no
 //! accepted job. The format is deliberately dependency-light — binary
 //! fixed-header records in append-only segment files, integrity-checked
-//! with the runtime's CRC32 ([`torus_runtime::crc32`]).
+//! with the runtime's CRC32 ([`torus_runtime::crc32_update`]).
 //!
 //! ## Record format
 //!
@@ -73,7 +73,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use torus_runtime::crc32;
+use torus_runtime::crc32_update;
 
 use crate::json::Json;
 
@@ -387,6 +387,12 @@ fn list_segments(dir: &Path) -> std::io::Result<Vec<u64>> {
     Ok(seqs)
 }
 
+/// A record's CRC32: over header bytes 4..20, then the payload, streamed
+/// across both slices in place.
+fn record_crc(header: &[u8], payload: &[u8]) -> u32 {
+    !crc32_update(crc32_update(!0, header), payload)
+}
+
 fn encode_record(kind: RecordKind, job_id: u64, payload: &[u8]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(RECORD_HEADER_BYTES + payload.len());
     buf.extend_from_slice(&MAGIC.to_le_bytes());
@@ -395,10 +401,7 @@ fn encode_record(kind: RecordKind, job_id: u64, payload: &[u8]) -> Vec<u8> {
     buf.extend_from_slice(&0u16.to_le_bytes());
     buf.extend_from_slice(&job_id.to_le_bytes());
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    let mut crc_input = Vec::with_capacity(16 + payload.len());
-    crc_input.extend_from_slice(&buf[4..20]);
-    crc_input.extend_from_slice(payload);
-    buf.extend_from_slice(&crc32(&crc_input).to_le_bytes());
+    buf.extend_from_slice(&record_crc(&buf[4..20], payload).to_le_bytes());
     buf.extend_from_slice(payload);
     buf
 }
@@ -451,10 +454,7 @@ fn decode_record(data: &[u8], offset: usize) -> Decoded {
         return Decoded::Torn;
     }
     let payload = &rest[RECORD_HEADER_BYTES..total];
-    let mut crc_input = Vec::with_capacity(16 + payload.len());
-    crc_input.extend_from_slice(&rest[4..20]);
-    crc_input.extend_from_slice(payload);
-    let computed = crc32(&crc_input);
+    let computed = record_crc(&rest[4..20], payload);
     if computed != stored_crc {
         return Decoded::Corrupt(format!(
             "crc mismatch: stored {stored_crc:#010x}, computed {computed:#010x}"
@@ -1011,6 +1011,17 @@ mod tests {
         ));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[test]
+    fn golden_record_bytes_are_pinned() {
+        let payload = br#"{"tenant":"acme"}"#;
+        let mut want = b"TJL1\x01\x01\x00\x00".to_vec(); // magic, accepted, v1
+        want.extend_from_slice(&42u64.to_le_bytes()); // job_id
+        want.extend_from_slice(&17u32.to_le_bytes()); // payload_len
+        want.extend_from_slice(&0x5B00_905Du32.to_le_bytes()); // crc32
+        want.extend_from_slice(payload);
+        assert_eq!(encode_record(RecordKind::Accepted, 42, payload), want);
     }
 
     fn demo_spec() -> Json {

@@ -836,10 +836,10 @@ fn reject_undurable(conn: &mut Conn, shared: &DaemonShared, handle: JobHandle, e
                 ok: false,
                 degraded: false,
                 checksum: None,
-                error: Some("canceled: admission journal unavailable".to_string()),
+                error: Some("canceled: admission journal unavailable".into()),
                 recovered: false,
-                state: "failed".to_string(),
-                tenant: conn.tenant.clone(),
+                state: "failed".into(),
+                tenant: conn.tenant.as_deref().map(Box::from),
             },
         );
     } else {

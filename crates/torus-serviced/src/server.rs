@@ -37,7 +37,8 @@
 //! reason `"draining"`. Concurrent drains are safe — the engine's
 //! shutdown snapshot is taken exactly once.
 
-use std::collections::{HashMap, VecDeque};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, ErrorKind};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::AtomicU64;
@@ -103,18 +104,21 @@ const REG_SHARDS: usize = 16;
 const TERMINAL_CAP_PER_SHARD: usize = 4096;
 
 /// A terminal job's recorded outcome — everything `status` needs
-/// without keeping the full result (deliveries included) alive.
+/// without keeping the full result (deliveries included) alive. Kept
+/// compact (boxed strings, a borrowed label) because the registry holds
+/// up to `REG_SHARDS * TERMINAL_CAP_PER_SHARD` of them.
 pub(crate) struct Terminal {
     pub(crate) ok: bool,
     pub(crate) degraded: bool,
-    pub(crate) checksum: Option<String>,
-    pub(crate) error: Option<String>,
+    pub(crate) checksum: Option<Box<str>>,
+    pub(crate) error: Option<Box<str>>,
     /// Terminal state label: `"completed"`, `"failed"`, `"cancelled"`,
-    /// or `"deadline_exceeded"`.
-    pub(crate) state: String,
+    /// or `"deadline_exceeded"`; owned only when replayed from the
+    /// journal.
+    pub(crate) state: Cow<'static, str>,
     /// Owning tenant; `None` when reconstructed from a journal replay
     /// (pre-crash `done` records do not carry the tenant).
-    pub(crate) tenant: Option<String>,
+    pub(crate) tenant: Option<Box<str>>,
     /// `true` when the outcome was reconstructed from the journal
     /// rather than executed by this process.
     pub(crate) recovered: bool,
@@ -130,9 +134,13 @@ struct LiveEntry {
 struct RegShard {
     /// Jobs admitted or replayed by this process, not yet terminal.
     live: HashMap<u64, LiveEntry>,
-    /// Terminal outcomes, bounded by [`TERMINAL_CAP_PER_SHARD`].
-    terminal: HashMap<u64, Terminal>,
-    /// Insertion order of `terminal`, for eviction.
+    /// Terminal outcomes, bounded by [`TERMINAL_CAP_PER_SHARD`]. A
+    /// B-tree grows one small node per few jobs; a hash map would double
+    /// its table at fixed job counts, stepping the daemon's resident
+    /// memory by megabytes across all shards at once.
+    terminal: BTreeMap<u64, Terminal>,
+    /// Insertion order of `terminal`, for eviction. Sized for the cap
+    /// up front, so it never reallocates.
     order: VecDeque<u64>,
 }
 
@@ -144,9 +152,9 @@ enum Lookup {
     Terminal {
         ok: bool,
         degraded: bool,
-        checksum: Option<String>,
-        error: Option<String>,
-        state: String,
+        checksum: Option<Box<str>>,
+        error: Option<Box<str>>,
+        state: Cow<'static, str>,
         recovered: bool,
     },
 }
@@ -179,8 +187,8 @@ impl Registry {
                 .map(|_| {
                     Mutex::new(RegShard {
                         live: HashMap::new(),
-                        terminal: HashMap::new(),
-                        order: VecDeque::new(),
+                        terminal: BTreeMap::new(),
+                        order: VecDeque::with_capacity(TERMINAL_CAP_PER_SHARD + 1),
                     })
                 })
                 .collect(),
@@ -255,8 +263,8 @@ impl Registry {
         }
         match shard.terminal.get(&job_id) {
             Some(t) => match &t.tenant {
-                Some(owner) if owner != tenant => CancelLookup::Forbidden,
-                _ => CancelLookup::Terminal(t.state.clone()),
+                Some(owner) if &**owner != tenant => CancelLookup::Forbidden,
+                _ => CancelLookup::Terminal(t.state.to_string()),
             },
             None => CancelLookup::Unknown,
         }
@@ -374,9 +382,9 @@ impl Daemon {
                     Terminal {
                         ok: done.ok,
                         degraded: done.degraded,
-                        checksum: done.checksum,
-                        error: done.error,
-                        state: done.state,
+                        checksum: done.checksum.map(String::into_boxed_str),
+                        error: done.error.map(String::into_boxed_str),
+                        state: done.state.into(),
                         tenant: None,
                         recovered: true,
                     },
@@ -412,9 +420,9 @@ impl Daemon {
                                 ok: false,
                                 degraded: false,
                                 checksum: None,
-                                error: Some(error),
-                                state: "failed".to_string(),
-                                tenant: Some(job.tenant.clone()),
+                                error: Some(error.into()),
+                                state: "failed".into(),
+                                tenant: Some(job.tenant.as_str().into()),
                                 recovered: true,
                             },
                         );
@@ -562,10 +570,10 @@ fn registry_hook(registry: &Registry, event: &JobEvent<'_>) {
             Terminal {
                 ok,
                 degraded,
-                checksum,
-                error: result.error.clone(),
-                state: status_label(*status).to_string(),
-                tenant: Some(tenant.to_string()),
+                checksum: checksum.map(String::into_boxed_str),
+                error: result.error.as_deref().map(Box::from),
+                state: status_label(*status).into(),
+                tenant: Some(Box::from(&**tenant)),
                 recovered: false,
             },
         );
@@ -656,13 +664,13 @@ mod tests {
             ok: error.is_none(),
             degraded: false,
             checksum: None,
-            error: error.map(str::to_string),
+            error: error.map(Box::from),
             state: if error.is_none() {
-                "completed".to_string()
+                "completed".into()
             } else {
-                "failed".to_string()
+                "failed".into()
             },
-            tenant: Some("acme".to_string()),
+            tenant: Some("acme".into()),
             recovered: false,
         }
     }
@@ -678,12 +686,18 @@ mod tests {
         let ids: Vec<u64> = (0..(TERMINAL_CAP_PER_SHARD + OVERFLOW) as u64)
             .map(|i| 5 + i * REG_SHARDS as u64)
             .collect();
+        let order_capacity = lk(&registry.shards[5]).order.capacity();
         for &id in &ids {
             registry.finish(id, term(None));
         }
         let (live, terminal) = registry.counts();
         assert_eq!(live, 0);
         assert_eq!(terminal, TERMINAL_CAP_PER_SHARD, "cap must hold");
+        assert_eq!(
+            lk(&registry.shards[5]).order.capacity(),
+            order_capacity,
+            "the eviction order is sized for the cap and never reallocates"
+        );
         for &id in &ids[..OVERFLOW] {
             assert!(
                 matches!(registry.lookup(id), Lookup::Unknown),
